@@ -11,12 +11,11 @@ from resbinar import (
     builtin,
     cayley_latex,
     check_identity,
-    check_lattice,
-    check_residuation,
     decode_model,
     encode_search,
     hasse_tikz,
     solve,
+    verify,
 )
 
 for size in range(2, 7):
@@ -29,11 +28,10 @@ for size in range(2, 7):
         continue
 
     model = decode_model(result.assignment, cnf.varmap, size)
-    assert check_lattice(model).passed
-    assert check_residuation(model).passed
-    assert check_identity(model, builtin("LD")) is None
+    complaints = verify(task, model)
+    if complaints:
+        raise SystemExit(f"decoded model fails verification: {complaints}")
     witness = check_identity(model, builtin("D3"))
-    assert witness is not None
     env = ", ".join(f"{k}={v}" for k, v in witness.env)
     print(f"\nverified: LD holds, D3 fails at {env} "
           f"({witness.lhs} != {witness.rhs})")

@@ -28,6 +28,7 @@ from .algebra import (
     order_from_tables,
     save_model,
     table_isomorphism,
+    verify,
 )
 from .encoder import (
     CnfInstance,
@@ -39,7 +40,6 @@ from .encoder import (
     decode_model,
     encode_search,
     symmetry_clauses,
-    write_dimacs,
     write_dimacs_file,
 )
 from .oracle import (
@@ -84,7 +84,6 @@ from .terms import (
     Identity,
     LATTICE_IDENTITIES,
     OPS,
-    RESIDUATION,
     Apply,
     Term,
     TermSyntaxError,
@@ -93,7 +92,6 @@ from .terms import (
     builtin,
     format_identity,
     format_term,
-    parse_axiom_file,
     parse_identity,
     parse_term,
 )

@@ -14,17 +14,20 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .terms import (
-    Apply,
     Identity,
     LATTICE_IDENTITIES,
     OPS,
     Term,
     Variable,
+    builtin,
     identity_variables,
 )
+
+if TYPE_CHECKING:
+    from .encoder import SearchTask
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -304,47 +307,78 @@ def check_residuation(b: FiniteBinar) -> VerificationReport:
     return VerificationReport(tuple(violations))
 
 
+def verify(task: "SearchTask", model: FiniteBinar) -> list[str]:
+    """Everything that keeps the model from answering the task; empty when
+    it does.
+
+    Checks the size, the lattice laws, residuation, each assumed identity
+    and the refuted identity, in that order.  Residuation is checked only
+    on a lattice, since the order it compares by exists only there.
+    """
+    if model.size != task.size:
+        return [f"size {model.size} != {task.size}"]
+    complaints = []
+    lattice = check_lattice(model)
+    if not lattice.passed:
+        complaints.append(f"lattice axioms fail ({len(lattice.violations)} violations)")
+    else:
+        residuation = check_residuation(model)
+        if not residuation.passed:
+            complaints.append(
+                f"residuation fails ({len(residuation.violations)} violations)"
+            )
+    for name in sorted(task.assume):
+        if check_identity(model, builtin(name)) is not None:
+            complaints.append(f"assumed {name} fails")
+    if task.refute is not None and check_identity(model, builtin(task.refute)) is None:
+        complaints.append(f"{task.refute} holds but should fail")
+    return complaints
+
+
+def _residual(line, z: int, leq, join: Table) -> int | None:
+    """The residual of z along one row or column of mult, or None.
+
+    With S = {i : line[i] <= z}, the residual can only be the join g of S,
+    and it exists exactly when S is nonempty and everything below g is in S,
+    i.e. S is the down-set of g.
+    """
+    n = len(line)
+    sat = [i for i in range(n) if leq[line[i]][z]]
+    if not sat:
+        return None
+    best = sat[0]
+    for i in sat[1:]:
+        best = join[best][i]
+    if any(leq[i][best] and not leq[line[i]][z] for i in range(n)):
+        return None
+    return best
+
+
 def derive_residuals(order: OrderRelation, mult: Table) -> tuple[Table, Table]:
     """Residual tables forced by mult and the order, if they exist.
 
-    lres[x][z] can only be the join g of S = {y : mult[x][y] <= z}, and the
-    equivalence  x*y <= z  iff  y <= x\\z  holds exactly when S is the full
-    down-set of g; symmetrically for rres.  Raises NotResiduated naming the
-    failing cell.
+    lres[x][z] is the residual of z along row x of mult, rres[z][y] along
+    column y.  Raises NotResiduated naming the first failing cell, left
+    table first.
     """
     n = order.size
     leq = order.leq
     join = _join_table_of_order(order)
-    lres_rows = []
-    for x in range(n):
-        row = []
-        for z in range(n):
-            sat = [y for y in range(n) if leq[mult[x][y]][z]]
-            if not sat:
-                raise NotResiduated(x, z, "left")
-            best = sat[0]
-            for y in sat[1:]:
-                best = join[best][y]
-            # everything below the join must itself satisfy mult[x][y] <= z
-            if any(leq[y][best] and not leq[mult[x][y]][z] for y in range(n)):
-                raise NotResiduated(x, z, "left")
-            row.append(best)
-        lres_rows.append(tuple(row))
-    rres_rows = []
-    for z in range(n):
-        row = []
-        for y in range(n):
-            sat = [x for x in range(n) if leq[mult[x][y]][z]]
-            if not sat:
-                raise NotResiduated(z, y, "right")
-            best = sat[0]
-            for x in sat[1:]:
-                best = join[best][x]
-            if any(leq[x][best] and not leq[mult[x][y]][z] for x in range(n)):
-                raise NotResiduated(z, y, "right")
-            row.append(best)
-        rres_rows.append(tuple(row))
-    return tuple(lres_rows), tuple(rres_rows)
+    columns = tuple(zip(*mult))
+
+    def residual(line, z: int, cell: tuple[int, int], side: str) -> int:
+        value = _residual(line, z, leq, join)
+        if value is None:
+            raise NotResiduated(*cell, side)
+        return value
+
+    lres = tuple(
+        tuple(residual(mult[x], z, (x, z), "left") for z in range(n)) for x in range(n)
+    )
+    rres = tuple(
+        tuple(residual(columns[y], z, (z, y), "right") for y in range(n)) for z in range(n)
+    )
+    return lres, rres
 
 
 # --- isomorphism ---------------------------------------------------------------

@@ -12,14 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import (
-    binar_to_dict,
-    check_identity,
-    check_lattice,
-    check_residuation,
-    load_model,
-    save_model,
-)
+from .algebra import are_isomorphic, binar_to_dict, check_identity, load_model, verify
 from .encoder import EncodeOptions, SearchTask, decode_model, encode_search, write_dimacs_file
 from .oracle import (
     BoundExceeded,
@@ -37,7 +30,6 @@ from .orchestrator import (
 from .reporting import report_bundle
 from .solver import SAT, UNSAT, SolveBudget, solve
 from .terms import DISTRIBUTIVITY_NAMES, builtin
-from .algebra import are_isomorphic
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -124,25 +116,18 @@ def _cmd_check(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load model: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failures = []
-    report = check_lattice(model)
-    if not report.passed:
-        failures.append(f"lattice axioms fail ({len(report.violations)} violations)")
-    else:
-        res = check_residuation(model)
-        if not res.passed:
-            failures.append(f"residuation fails ({len(res.violations)} violations)")
-    assume = _parse_assume(args.assume, args.distributive)
-    for name in sorted(assume):
-        if check_identity(model, builtin(name)) is not None:
-            failures.append(f"{name} fails")
-    if args.refute:
-        witness = check_identity(model, builtin(args.refute))
-        if witness is None:
-            failures.append(f"{args.refute} holds but should fail")
-        else:
+    try:
+        task = SearchTask(model.size, _parse_assume(args.assume, args.distributive),
+                          args.refute)
+    except ValueError as exc:
+        print(f"invalid task: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if task.refute is not None:
+        witness = check_identity(model, builtin(task.refute))
+        if witness is not None:
             env = " ".join(f"{k}={v}" for k, v in witness.env)
-            print(f"{args.refute} fails at {env}: {witness.lhs} != {witness.rhs}")
+            print(f"{task.refute} fails at {env}: {witness.lhs} != {witness.rhs}")
+    failures = verify(task, model)
     if failures:
         for line in failures:
             print(f"FAIL: {line}")
@@ -163,11 +148,11 @@ def _cmd_search(args) -> int:
     result = solve(cnf, args.solver or _default_solver(), budget)
     if result.status == SAT:
         model = decode_model(result.assignment, cnf.varmap, task.size)
-        for name in sorted(task.assume):
-            assert check_identity(model, builtin(name)) is None
-        assert check_lattice(model).passed and check_residuation(model).passed
-        if task.refute:
-            assert check_identity(model, builtin(task.refute)) is not None
+        failures = verify(task, model)
+        if failures:
+            for line in failures:
+                print(f"FAIL: decoded model for {task.describe()}: {line}")
+            return EXIT_FAIL
         print(f"SAT: {task.describe()}")
         text = json.dumps(binar_to_dict(model), indent=1)
         if args.out:

@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .algebra import FiniteBinar, freeze_table
 from .terms import (
-    Apply,
     IDENTITY_NAMES,
     Identity,
     LATTICE_IDENTITIES,
@@ -177,10 +176,6 @@ class CnfInstance:
     def clauses(self) -> list[tuple[int, ...]]:
         return list(self.iter_clauses())
 
-    def literal_array(self) -> array:
-        """The raw zero-terminated literal stream (shared, do not mutate)."""
-        return self._lits
-
 
 @dataclass(frozen=True)
 class EncodeOptions:
@@ -198,9 +193,6 @@ class _Group:
 
     def lit(self, v: int) -> int:
         return self.lits[v]
-
-
-Source = "int | _Group"
 
 
 class _Encoder:
@@ -418,20 +410,9 @@ def decode_model(assignment, varmap: VarMap, n: int) -> FiniteBinar:
     return FiniteBinar(n, **tables)
 
 
-def write_dimacs(cnf: CnfInstance) -> bytes:
-    """DIMACS text; varmap base cells are recorded as `c map` comments."""
-    lines = []
-    if cnf.varmap is not None:
-        for (op, row, col, value), var in cnf.varmap.base_items():
-            lines.append(f"c map {op} {row} {col} {value} {var}")
-    lines.append(f"p cnf {cnf.num_vars} {cnf.clause_count}")
-    for clause in cnf.iter_clauses():
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return ("\n".join(lines) + "\n").encode("ascii")
-
-
 def write_dimacs_file(cnf: CnfInstance, path) -> None:
-    """Stream the instance to a file without building one giant buffer."""
+    """Stream the instance to a file as DIMACS text, without building one
+    giant buffer; varmap base cells are recorded as `c map` comments."""
     with open(path, "w", encoding="ascii") as handle:
         if cnf.varmap is not None:
             for (op, row, col, value), var in cnf.varmap.base_items():

@@ -16,8 +16,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .algebra import (
     FiniteBinar,
-    NotResiduated,
     Table,
+    _residual,
     check_identity,
     derive_residuals,
     order_from_tables,
@@ -162,27 +162,14 @@ def enumerate_lattices(n: int, up_to_iso: bool = False) -> LatticeCatalogue:
 
 
 def _residuable_lines(n: int, leq: tuple[tuple[bool, ...], ...], join: Table):
-    """The value rows permitted in a residuated mult table.
-
-    A line r is residuable when for every z the set {i : r[i] <= z} is a
-    nonempty down-set containing its own join, i.e. exactly the down-set of
-    some element; rows and columns of mult face the same condition, one for
-    each residual.
+    """The value rows permitted in a residuated mult table: those with a
+    residual for every z.  Rows and columns of mult face the same
+    condition, one for each residual.
     """
-    good = []
-    for line in itertools.product(range(n), repeat=n):
-        for z in range(n):
-            sat = [i for i in range(n) if leq[line[i]][z]]
-            if not sat:
-                break
-            best = sat[0]
-            for i in sat[1:]:
-                best = join[best][i]
-            if any(leq[i][best] and not leq[line[i]][z] for i in range(n)):
-                break
-        else:
-            good.append(line)
-    return good
+    return [
+        line for line in itertools.product(range(n), repeat=n)
+        if all(_residual(line, z, leq, join) is not None for z in range(n))
+    ]
 
 
 def enumerate_residuated_binars(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -20,20 +21,14 @@ from multiprocessing.connection import wait as conn_wait
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .algebra import (
-    FiniteBinar,
-    binar_from_dict,
-    binar_to_dict,
-    check_identity,
-    check_lattice,
-    check_residuation,
-)
+from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, verify
 from .encoder import EncodeOptions, SearchTask, decode_model, encode_search
 from .solver import SAT, UNKNOWN, UNSAT, SolveBudget, solve
-from .terms import DISTRIBUTIVITY_NAMES, builtin
+from .terms import DISTRIBUTIVITY_NAMES
 
 SIZE_CEILING = 14
 RESULTS_NAME = "results.jsonl"
+_CANCELLED = "cancelled: goal satisfied at size"
 
 RULES: tuple[tuple[frozenset[str], str], ...] = (
     (frozenset({"D4", "D5"}), "D3"),
@@ -111,9 +106,6 @@ class GridTask:
     ld: str  # "assume" | "omit"
     expect_unsat: bool
     goal: tuple
-
-    def key(self) -> tuple:
-        return self.task.key()
 
 
 @dataclass(frozen=True)
@@ -213,11 +205,12 @@ def persist_result(result: SearchResult, directory: str | Path) -> None:
 
 
 def load_results(directory: str | Path) -> list[SearchResult]:
-    """Parse the result file; a trailing partial line is tolerated."""
+    """The last record of each task in the result file, in the order the
+    tasks first appear; a trailing partial line is tolerated."""
     path = Path(directory) / RESULTS_NAME
     if not path.exists():
         return []
-    out: list[SearchResult] = []
+    latest: dict[tuple, SearchResult] = {}
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
     for i, line in enumerate(lines):
@@ -225,13 +218,32 @@ def load_results(directory: str | Path) -> list[SearchResult]:
         if not line:
             continue
         try:
-            out.append(SearchResult.from_record(json.loads(line)))
+            result = SearchResult.from_record(json.loads(line))
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             if i == len(lines) - 1:
                 warnings.warn(f"dropping partial trailing result line: {exc}")
                 continue
             raise OSError(f"corrupt result line {i + 1} in {path}: {exc}") from None
-    return out
+        latest[result.task.key()] = result
+    return list(latest.values())
+
+
+def _end_last_line(path: Path) -> None:
+    """Make the result file safe to append to after a write was cut short.
+
+    A last line that holds no whole record is cut away, as load_results
+    has already dropped it; a whole last record without its newline gets one.
+    """
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    try:
+        SearchResult.from_record(json.loads(data[start:]))
+    except (KeyError, ValueError):
+        os.truncate(path, start)
+        return
+    if not data.endswith(b"\n"):
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
 
 
 # --- execution -----------------------------------------------------------------
@@ -262,43 +274,33 @@ def _solve_task(task: SearchTask, solver_spec: str, timeout, conn) -> None:
         conn.close()
 
 
-def _verify_model(task: SearchTask, model: FiniteBinar) -> str | None:
-    """None when the model truly answers the task, else a complaint."""
-    if model.size != task.size:
-        return f"size {model.size} != {task.size}"
-    if not check_lattice(model).passed:
-        return "lattice axioms fail"
-    if not check_residuation(model).passed:
-        return "residuation fails"
-    for name in sorted(task.assume):
-        if check_identity(model, builtin(name)) is not None:
-            return f"assumed {name} fails"
-    if task.refute is not None and check_identity(model, builtin(task.refute)) is None:
-        return f"refuted {task.refute} still holds"
-    return None
-
-
 class _Goal:
     """Pending sizes of one goal, consumed in ascending order."""
 
-    __slots__ = ("pending", "in_flight", "done")
+    __slots__ = ("pending", "in_flight")
 
     def __init__(self):
         self.pending: list[GridTask] = []
         self.in_flight = False
-        self.done = False
 
 
 def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
-    """Dispatch tasks to worker processes; single-writer, resumable."""
+    """Dispatch tasks to worker processes; single-writer, resumable.
+
+    A rerun into the same directory replays the recorded SAT and UNSAT
+    answers, and the cancellations behind a replayed SAT of the same goal.
+    Every other task runs again: one with no record, and one whose record
+    is a failure, a timeout or a cancellation whose SAT is not on record.
+    """
     outcome = GridOutcome()
-    existing = {}
     try:
-        for result in load_results(config.out_dir):
-            existing[result.task.key()] = result
+        existing = {r.task.key(): r for r in load_results(config.out_dir)}
     except OSError as exc:
         outcome.errors.append(str(exc))
         return outcome
+    path = Path(config.out_dir) / RESULTS_NAME
+    if path.exists():
+        _end_last_line(path)
 
     goals: dict[tuple, _Goal] = {}
     order: list[tuple] = []
@@ -310,42 +312,48 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
     for goal in goals.values():
         goal.pending.sort(key=lambda gt: gt.task.size)
 
-    def record(result: SearchResult) -> None:
-        persist_result(result, config.out_dir)
+    def note(result: SearchResult) -> None:
         outcome.results.append(result)
         if result.expect_unsat and result.status == SAT:
             outcome.violations.append(result)
 
+    def record(result: SearchResult) -> None:
+        persist_result(result, config.out_dir)
+        note(result)
+
+    def cancel(gt: GridTask, sat_size: int) -> None:
+        record(SearchResult(
+            task=gt.task, ld=gt.ld, expect_unsat=gt.expect_unsat,
+            status=UNKNOWN, model=None, seconds=0.0, solver=config.solver,
+            reason=f"{_CANCELLED} {sat_size}",
+        ))
+
     def absorb(gt: GridTask, result: SearchResult) -> None:
-        """Update goal state from a finished (or replayed) task."""
+        """Update goal state from a finished task."""
         state = goals[gt.goal]
         if result.status == SAT:
-            state.done = True
             for rest in state.pending:
-                cancelled = SearchResult(
-                    task=rest.task, ld=rest.ld, expect_unsat=rest.expect_unsat,
-                    status=UNKNOWN, model=None, seconds=0.0, solver=config.solver,
-                    reason=f"cancelled: goal satisfied at size {gt.task.size}",
-                )
-                if rest.task.key() not in existing:
-                    record(cancelled)
+                cancel(rest, gt.task.size)
             state.pending.clear()
 
-    # replay already-recorded tasks so resumption skips them
     for goal_key in order:
         state = goals[goal_key]
         fresh: list[GridTask] = []
+        sat_size = None
         for gt in state.pending:
             prior = existing.get(gt.task.key())
-            if prior is None:
-                fresh.append(gt)
+            if prior is not None and (
+                prior.status in (SAT, UNSAT)
+                or (sat_size is not None and (prior.reason or "").startswith(_CANCELLED))
+            ):
+                note(prior)
+                if prior.status == SAT and sat_size is None:
+                    sat_size = gt.task.size
+            elif sat_size is not None:
+                cancel(gt, sat_size)
             else:
-                outcome.results.append(prior)
-                if prior.expect_unsat and prior.status == SAT:
-                    outcome.violations.append(prior)
-                if prior.status == SAT:
-                    state.done = True
-        state.pending = [] if state.done else fresh
+                fresh.append(gt)
+        state.pending = fresh
 
     in_flight: dict = {}
 
@@ -354,7 +362,7 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
             if len(in_flight) >= config.workers:
                 return
             state = goals[goal_key]
-            if state.done or state.in_flight or not state.pending:
+            if state.in_flight or not state.pending:
                 continue
             gt = state.pending.pop(0)
             parent, child = mp.Pipe(duplex=False)
@@ -389,8 +397,8 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
             model = None
             if status == SAT:
                 model = binar_from_dict(payload["model"])
-                complaint = _verify_model(gt.task, model)
-                if complaint is not None:
+                complaint = "; ".join(verify(gt.task, model))
+                if complaint:
                     outcome.errors.append(f"{gt.task.describe()}: {complaint}")
                     status, model, reason = UNKNOWN, None, f"model failed verification: {complaint}"
         result = SearchResult(

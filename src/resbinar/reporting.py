@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebra import FiniteBinar, UnknownOp, covering_relation, derive_order
 from .orchestrator import SearchResult

@@ -61,7 +61,6 @@ class SolveResult:
 
 def check_assignment(cnf: CnfInstance, assignment: tuple[bool, ...]) -> bool:
     """True when every clause has a true literal under the assignment."""
-    sat = True
     for clause in cnf.iter_clauses():
         for lit in clause:
             var = lit if lit > 0 else -lit
@@ -69,7 +68,7 @@ def check_assignment(cnf: CnfInstance, assignment: tuple[bool, ...]) -> bool:
                 break
         else:
             return False
-    return sat
+    return True
 
 
 def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveResult:
@@ -177,7 +176,8 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
         scan_from = var
         if var > nvars:
             assignment = tuple(val[v] == 1 for v in range(1, nvars + 1))
-            assert check_assignment(cnf, assignment)
+            if not check_assignment(cnf, assignment):
+                raise OutputParseError("bundled DPLL produced a non-satisfying assignment")
             return SolveResult(SAT, assignment=assignment, stats=stats())
         decisions += 1
         stack.append([len(trail), var, 0])

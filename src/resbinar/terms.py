@@ -53,20 +53,6 @@ class Identity:
     rhs: Term
 
 
-class _ResiduationMarker:
-    """Stand-in for the residuation law, which is not an equation.
-
-    The encoder and the verifier treat it specially; it never goes through
-    the term evaluator.
-    """
-
-    def __repr__(self) -> str:
-        return "RESIDUATION"
-
-
-RESIDUATION = _ResiduationMarker()
-
-
 def term_variables(t: Term) -> tuple[str, ...]:
     """Sorted variable names occurring in a term."""
     out: set[str] = set()
@@ -258,32 +244,9 @@ LATTICE_IDENTITIES: tuple[Identity, ...] = tuple(
 IDENTITY_NAMES = DISTRIBUTIVITY_NAMES + ("LD",)
 
 
-def builtin(name: str):
-    """Look up a built-in axiom by name.
-
-    D1..D6 and LD return an Identity, LATTICE the eight lattice equations,
-    RES the residuation marker.
-    """
-    if name in _BUILTINS:
+def builtin(name: str) -> Identity:
+    """Look up D1..D6 or LD by name."""
+    try:
         return _BUILTINS[name]
-    if name == "LATTICE":
-        return LATTICE_IDENTITIES
-    if name == "RES":
-        return RESIDUATION
-    raise UnknownName(name)
-
-
-def parse_axiom_file(text: str) -> tuple[Identity, ...]:
-    """One identity per line; ``#`` starts a comment; ``name:`` prefixes name it."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" in line:
-            name, eq = line.split(":", 1)
-            name = name.strip()
-        else:
-            name, eq = f"line{lineno}", line
-        out.append(parse_identity(eq, name=name))
-    return tuple(out)
+    except KeyError:
+        raise UnknownName(name) from None

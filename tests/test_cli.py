@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from resbinar.algebra import binar_to_dict, load_model, save_model
+import resbinar.cli
+from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model
 from resbinar.cli import main
 from resbinar.dimacs_cli import main as rbsat_main, read_dimacs
 
@@ -46,6 +47,11 @@ def test_check_missing_file(tmp_path, capsys):
     assert main(["check", str(tmp_path / "none.json")]) == 2
 
 
+def test_check_unknown_identity_is_a_usage_error(chain_model_file, capsys):
+    assert main(["check", chain_model_file, "--assume", "D7"]) == 2
+    assert "invalid task" in capsys.readouterr().err
+
+
 def test_search_sat_writes_model(tmp_path, capsys):
     out = tmp_path / "model.json"
     code = main(["search", "--size", "3", "--assume", "D1,D2",
@@ -65,6 +71,21 @@ def test_search_unsat(capsys):
 
 def test_search_invalid_task(capsys):
     assert main(["search", "--size", "2", "--assume", "D1", "--refute", "D1"]) == 2
+
+
+def test_search_withholds_a_model_that_fails_verification(tmp_path, monkeypatch, capsys):
+    meet, join = chain_tables(2)
+    data = binar_to_dict(make_binar(meet, join, meet))
+    data["ops"]["lres"] = [[0, 0], [0, 0]]  # wrong residual
+    monkeypatch.setattr(resbinar.cli, "decode_model",
+                        lambda assignment, varmap, n: binar_from_dict(data))
+    out = tmp_path / "model.json"
+    code = main(["search", "--size", "2", "--solver", "builtin", "--out", str(out)])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "residuation fails" in text
+    assert "SAT:" not in text and "{" not in text
+    assert not out.exists()
 
 
 def test_search_prints_model_json(capsys):

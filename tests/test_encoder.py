@@ -14,11 +14,16 @@ from resbinar.encoder import (
     decode_model,
     encode_search,
     symmetry_clauses,
-    write_dimacs,
     write_dimacs_file,
 )
 from resbinar.solver import SAT, UNSAT, solve_builtin
 from resbinar.terms import OPS, builtin
+
+
+def dimacs_bytes(cnf, directory, name="out.cnf"):
+    path = directory / name
+    write_dimacs_file(cnf, path)
+    return path.read_bytes()
 
 
 def test_varmap_layout_is_dense_and_injective():
@@ -53,7 +58,7 @@ def test_cnf_instance_clause_handling():
         cnf.add_clause([0])
     assert cnf.new_var() == 4
     assert cnf.add_clause([4])
-    assert list(cnf.literal_array()) == [1, 2, 0, 4, 0]
+    assert cnf.clauses == [(1, 2), (4,)]
 
 
 def test_from_clauses():
@@ -62,21 +67,24 @@ def test_from_clauses():
     assert cnf.num_vars == 2
 
 
-def test_dimacs_bytes_minimal():
+def test_dimacs_bytes_minimal(tmp_path):
     cnf = CnfInstance.from_clauses(2, [(1, 2), (-1,)])
-    assert write_dimacs(cnf) == b"p cnf 2 2\n1 2 0\n-1 0\n"
+    assert dimacs_bytes(cnf, tmp_path) == b"p cnf 2 2\n1 2 0\n-1 0\n"
 
 
 def test_dimacs_file_matches_bytes(tmp_path):
-    cnf = encode_search(SearchTask(2))
-    path = tmp_path / "out.cnf"
-    write_dimacs_file(cnf, path)
-    assert path.read_bytes() == write_dimacs(cnf)
+    # n = 4 has more clauses than the writer buffers per chunk
+    cnf = encode_search(SearchTask(4))
+    lines = [f"c map {op} {row} {col} {value} {var}"
+             for (op, row, col, value), var in cnf.varmap.base_items()]
+    lines.append(f"p cnf {cnf.num_vars} {cnf.clause_count}")
+    lines.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
+    assert dimacs_bytes(cnf, tmp_path) == ("\n".join(lines) + "\n").encode("ascii")
 
 
-def test_dimacs_map_comments_cover_base_variables():
+def test_dimacs_map_comments_cover_base_variables(tmp_path):
     cnf = encode_search(SearchTask(2))
-    text = write_dimacs(cnf).decode()
+    text = dimacs_bytes(cnf, tmp_path).decode()
     maps = [line for line in text.splitlines() if line.startswith("c map ")]
     assert len(maps) == 5 * 8
     header = next(line for line in text.splitlines() if line.startswith("p cnf"))
@@ -178,7 +186,8 @@ def test_decode_model_accepts_mapping():
     assert model == decode_model(res.assignment, cnf.varmap, 2)
 
 
-def test_encoding_is_deterministic():
-    a = write_dimacs(encode_search(SearchTask.make(3, assume=("D1",), refute="D2")))
-    b = write_dimacs(encode_search(SearchTask.make(3, assume=("D1",), refute="D2")))
+def test_encoding_is_deterministic(tmp_path):
+    task = SearchTask.make(3, assume=("D1",), refute="D2")
+    a = dimacs_bytes(encode_search(task), tmp_path, "a.cnf")
+    b = dimacs_bytes(encode_search(task), tmp_path, "b.cnf")
     assert a == b

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -130,12 +131,16 @@ def test_search_result_record_roundtrip():
 
 
 def test_persist_and_load(tmp_path):
-    a, b = result_fixture(True), result_fixture(False)
+    a = result_fixture(True)
+    b = dataclasses.replace(result_fixture(False), task=SearchTask.make(3, refute="D2"))
     persist_result(a, tmp_path)
     persist_result(b, tmp_path)
     loaded = load_results(tmp_path)
     assert [r.status for r in loaded] == ["SAT", "UNSAT"]
     assert loaded[0].model == a.model
+    # a later record of the same task replaces the earlier one in place
+    persist_result(dataclasses.replace(a, status="UNKNOWN", model=None), tmp_path)
+    assert [r.status for r in load_results(tmp_path)] == ["UNKNOWN", "UNSAT"]
 
 
 def test_load_results_missing_directory(tmp_path):
@@ -205,6 +210,53 @@ def test_run_grid_resumes_without_resolving(tmp_path):
     assert lines_after == lines_before
     assert again.ok
     assert len(again.results) == len(tasks)
+
+
+def test_run_grid_retries_tasks_whose_solver_failed(tmp_path):
+    # D3 under LD alone is refutable only from n = 4 on, so n = 2..4 is
+    # UNSAT, UNSAT, SAT once a solver runs.
+    config, tasks, first = grid_to_completion(
+        tmp_path, max_size=4, solver="no-such-solver-xyz {file}"
+    )
+    assert not first.ok
+    assert [r.status for r in first.results] == ["UNKNOWN"] * 3
+    assert all("SolverSpawnError" in r.reason for r in first.results)
+    config = dataclasses.replace(config, solver="builtin")
+    again = run_grid(tasks, config)
+    assert again.ok, again.errors
+    by_size = {r.task.size: r.status for r in again.results}
+    assert by_size == {2: "UNSAT", 3: "UNSAT", 4: "SAT"}
+    loaded = load_results(tmp_path)
+    assert sorted((r.task.size, r.status) for r in loaded) == sorted(by_size.items())
+
+
+def test_run_grid_resumes_after_a_record_cut_in_half(tmp_path):
+    config, tasks, outcome = grid_to_completion(tmp_path, max_size=3, solver="builtin")
+    assert outcome.ok and len(outcome.results) == 2
+    path = tmp_path / "results.jsonl"
+    first_line = path.read_text().splitlines()[0]
+    path.write_text(first_line[: len(first_line) // 2])  # crash mid-write
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        resumed = run_grid(tasks, config)
+    assert resumed.ok, resumed.errors
+    assert [r.status for r in resumed.results] == ["UNSAT", "UNSAT"]
+    again = run_grid(tasks, config)
+    assert again.ok, again.errors
+    assert [r.status for r in again.results] == ["UNSAT", "UNSAT"]
+    assert [r.status for r in load_results(tmp_path)] == ["UNSAT", "UNSAT"]
+    assert path.read_text().count("\n") == 2
+    # cut just before the last newline: the whole record is kept, not re-solved
+    path.write_text(path.read_text().rstrip("\n"))
+    assert [r.status for r in run_grid(tasks, config).results] == ["UNSAT", "UNSAT"]
+    assert path.read_text().count("\n") == 2
+    # a broken last line that did get its newline is cut away as well
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"task": {"size"\n')
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_grid(tasks, config).ok
+    assert [r.status for r in load_results(tmp_path)] == ["UNSAT", "UNSAT"]
 
 
 def test_run_grid_parallel_workers(tmp_path):

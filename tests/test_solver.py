@@ -73,6 +73,12 @@ def test_builtin_unsat():
     assert solve_builtin(pigeonhole(5, 4)).status == UNSAT
 
 
+def test_builtin_rejects_its_own_bad_assignment(monkeypatch):
+    monkeypatch.setattr(resbinar.solver, "check_assignment", lambda cnf, a: False)
+    with pytest.raises(OutputParseError):
+        solve_builtin(tiny_sat())
+
+
 def test_builtin_pigeonhole_sat_when_it_fits():
     res = solve_builtin(pigeonhole(4, 4))
     assert res.status == SAT
