@@ -1,7 +1,8 @@
 """Command-line pipeline: verify, search, grid, encode, report, enumerate.
 
-Exit codes: 0 success (search: UNKNOWN), 1 verification or grid failure,
-2 usage error, 10 search found a model, 20 search proved none exists.
+Exit codes: 0 success (search: UNKNOWN), 1 verification, task or grid
+failure, 2 usage error, 10 search found a model, 20 search proved none
+exists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .algebra import are_isomorphic, binar_to_dict, check_identity, load_model, verify
-from .encoder import EncodeOptions, SearchTask, decode_model, encode_search, write_dimacs_file
+from .encoder import EncodeOptions, SearchTask, encode_search, write_dimacs_file
 from .oracle import (
     BoundExceeded,
     count_models,
@@ -21,14 +22,17 @@ from .oracle import (
     enumerate_residuated_binars,
 )
 from .orchestrator import (
+    ERROR,
+    FAIL,
     ConfigError,
     GridConfig,
     build_grid,
     load_results,
     run_grid,
+    run_task,
 )
 from .reporting import report_bundle
-from .solver import SAT, UNSAT, SolveBudget, solve
+from .solver import DEFAULT_ENGINE, SAT, UNSAT
 from .terms import DISTRIBUTIVITY_NAMES, builtin
 
 EXIT_OK = 0
@@ -39,7 +43,7 @@ EXIT_UNSAT = 20
 
 
 def _default_solver() -> str:
-    return os.environ.get("RB_SOLVER", "pysat:kissat404")
+    return os.environ.get("RB_SOLVER", f"pysat:{DEFAULT_ENGINE}")
 
 
 def _parse_assume(text: str | None, distributive: bool) -> frozenset[str]:
@@ -75,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distributive", action="store_true",
                    help="assume the lattice distributivity identity")
     p.add_argument("--solver", default=None, help="builtin | pysat:<engine> | command with {file}")
-    p.add_argument("--timeout", type=float)
+    p.add_argument("--timeout", type=float, help="seconds before the task's worker is killed")
     p.add_argument("--out", help="write the model JSON here on SAT")
 
     p = sub.add_parser("grid", help="run the independence experiment grid")
@@ -86,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", help="comma-separated targets (default: all six)")
     p.add_argument("--out", default="results")
     p.add_argument("--solver", default=None)
-    p.add_argument("--timeout", type=float)
+    p.add_argument("--timeout", type=float, help="seconds before a task's worker is killed")
 
     p = sub.add_parser("encode", help="emit the CNF for one task")
     p.add_argument("--size", type=int, required=True)
@@ -137,22 +141,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.timeout is not None and not args.timeout > 0:
+        print(f"invalid timeout: {args.timeout} (need seconds > 0)", file=sys.stderr)
+        return EXIT_USAGE
     try:
         task = SearchTask(args.size, _parse_assume(args.assume, args.distributive),
                           args.refute)
-        cnf = encode_search(task)
     except ValueError as exc:
         print(f"invalid task: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    budget = SolveBudget(max_seconds=args.timeout) if args.timeout else None
-    result = solve(cnf, args.solver or _default_solver(), budget)
-    if result.status == SAT:
-        model = decode_model(result.assignment, cnf.varmap, task.size)
-        failures = verify(task, model)
-        if failures:
-            for line in failures:
-                print(f"FAIL: decoded model for {task.describe()}: {line}")
-            return EXIT_FAIL
+    status, model, reason = run_task(task, args.solver or _default_solver(), args.timeout)
+    if status == ERROR:
+        print(f"ERROR: {reason}", file=sys.stderr)
+        return EXIT_FAIL
+    if status == FAIL:
+        print(f"FAIL: decoded model for {task.describe()}: {reason}")
+        return EXIT_FAIL
+    if status == SAT:
         print(f"SAT: {task.describe()}")
         text = json.dumps(binar_to_dict(model), indent=1)
         if args.out:
@@ -161,10 +166,10 @@ def _cmd_search(args) -> int:
         else:
             print(text)
         return EXIT_SAT
-    if result.status == UNSAT:
+    if status == UNSAT:
         print(f"UNSAT: {task.describe()}")
         return EXIT_UNSAT
-    print(f"UNKNOWN: {task.describe()} ({result.reason})")
+    print(f"UNKNOWN: {task.describe()} ({reason})")
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-DEFAULT_ENGINE = "kissat404"
+from .solver import DEFAULT_ENGINE
 
 
 def read_dimacs(path: str) -> tuple[int, list[list[int]]]:

@@ -62,6 +62,8 @@ class SearchTask:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be positive")
+        if self.size > ENCODING_CEILING:
+            raise SizeOverflow(f"size {self.size} beyond ceiling {ENCODING_CEILING}")
         names = frozenset(_canonical_name(a) for a in self.assume)
         object.__setattr__(self, "assume", names)
         if self.refute is not None:
@@ -381,8 +383,6 @@ def symmetry_clauses(
 
 
 def encode_search(task: SearchTask, opts: EncodeOptions = EncodeOptions()) -> CnfInstance:
-    if task.size > ENCODING_CEILING:
-        raise SizeOverflow(f"size {task.size} beyond ceiling {ENCODING_CEILING}")
     return _Encoder(task, opts).build()
 
 

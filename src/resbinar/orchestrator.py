@@ -3,10 +3,13 @@
 A goal is one independence question: can the target identity fail while
 the assumptions hold?  Goals run their sizes in ascending order, so the
 first SAT is the minimal witness within the range; different goals run
-concurrently.  Every task runs in its own killable process, which is the
-only reliable timeout for solver backends that cannot be interrupted
-in-process.  The coordinator is the single writer of the result file and
+concurrently.  The coordinator is the single writer of the result file and
 re-verifies every claimed model before recording it.
+
+Every task, in a grid or alone (`run_task`), runs in a worker process that
+leads its own process group.  This is the package's one time limit: at the
+deadline, or when the caller leaves by any route, the whole group is
+killed, an external solver included, whatever the engine and layer.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import shutil
+import signal
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,12 +29,16 @@ from typing import Iterable, Mapping
 
 from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, verify
 from .encoder import EncodeOptions, SearchTask, decode_model, encode_search
-from .solver import SAT, UNKNOWN, UNSAT, SolveBudget, solve
+from .solver import DEFAULT_ENGINE, SAT, UNKNOWN, UNSAT, solve
 from .terms import DISTRIBUTIVITY_NAMES
 
 SIZE_CEILING = 14
 RESULTS_NAME = "results.jsonl"
 _CANCELLED = "cancelled: goal satisfied at size"
+
+# not answers: the worker died or raised (ERROR) or sent a bad model (FAIL)
+ERROR = "ERROR"
+FAIL = "FAIL"
 
 RULES: tuple[tuple[frozenset[str], str], ...] = (
     (frozenset({"D4", "D5"}), "D3"),
@@ -70,8 +80,8 @@ class GridConfig:
     min_size: int = 2
     max_size: int = 10
     workers: int = 1
-    timeout: float | None = None
-    solver: str = "pysat:kissat404"
+    timeout: float | None = None  # seconds per task; None for no limit
+    solver: str = f"pysat:{DEFAULT_ENGINE}"
     out_dir: str | Path = "results"
 
     def __post_init__(self):
@@ -96,6 +106,8 @@ class GridConfig:
             )
         if self.workers < 1:
             raise ConfigError("worker count must be at least 1")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ConfigError(f"timeout must be a positive number of seconds: {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -248,13 +260,15 @@ def _end_last_line(path: Path) -> None:
 
 # --- execution -----------------------------------------------------------------
 
-def _solve_task(task: SearchTask, solver_spec: str, timeout, conn) -> None:
+def _solve_task(task: SearchTask, solver_spec: str, scratch: str, conn) -> None:
     """Worker body: encode, solve, decode; runs in a disposable process."""
+    os.setpgid(0, 0)
+    # a killed solve cannot clean up; its temporary files go with `scratch`
+    tempfile.tempdir = scratch
     start = time.monotonic()
     try:
         cnf = encode_search(task, EncodeOptions(symmetry=True))
-        budget = SolveBudget(max_seconds=timeout) if timeout else None
-        result = solve(cnf, solver_spec, budget)
+        result = solve(cnf, solver_spec)
         payload = {
             "status": result.status,
             "seconds": time.monotonic() - start,
@@ -266,7 +280,7 @@ def _solve_task(task: SearchTask, solver_spec: str, timeout, conn) -> None:
         conn.send(payload)
     except Exception as exc:  # surfaced as a task failure, never a crash
         conn.send({
-            "status": "ERROR",
+            "status": ERROR,
             "seconds": time.monotonic() - start,
             "reason": f"{type(exc).__name__}: {exc}",
         })
@@ -274,14 +288,68 @@ def _solve_task(task: SearchTask, solver_spec: str, timeout, conn) -> None:
         conn.close()
 
 
-class _Goal:
-    """Pending sizes of one goal, consumed in ascending order."""
+class _Worker:
+    """One task in its own process, which leads a process group of its own
+    so that stop() kills every process the solve started."""
 
-    __slots__ = ("pending", "in_flight")
+    def __init__(self, task: SearchTask, solver_spec: str):
+        self.started = time.monotonic()
+        self.scratch = tempfile.mkdtemp(prefix="resbinar-")
+        self.conn, child = mp.Pipe(duplex=False)
+        self.proc = mp.Process(target=_solve_task, args=(task, solver_spec, self.scratch, child))
+        self.proc.start()
+        child.close()
+        # as shells do, so that the group exists before stop() can be called
+        try:
+            os.setpgid(self.proc.pid, self.proc.pid)
+        except OSError:  # the worker has already exited
+            pass
 
-    def __init__(self):
-        self.pending: list[GridTask] = []
-        self.in_flight = False
+    def receive(self) -> dict | None:
+        """The worker's payload; None when it died without sending one."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+    def stop(self) -> None:
+        """Kill the worker's process group and release its pipe and files."""
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # every process in the group has exited
+            pass
+        self.proc.join()
+        self.conn.close()
+        shutil.rmtree(self.scratch, ignore_errors=True)
+
+
+def _verdict(task: SearchTask, payload: dict | None) -> tuple[str, FiniteBinar | None, str | None]:
+    """(status, model, reason) of a worker payload; a model only after it
+    passes verify.  The status is ERROR or FAIL for a task that failed."""
+    if payload is None:
+        return ERROR, None, "worker died without reporting"
+    status, reason = payload["status"], payload.get("reason")
+    if status != SAT:
+        return status, None, reason
+    model = binar_from_dict(payload["model"])
+    failures = verify(task, model)
+    if failures:
+        return FAIL, None, "model failed verification: " + "; ".join(failures)
+    return SAT, model, reason
+
+
+def run_task(task: SearchTask, solver_spec: str,
+             timeout: float | None = None) -> tuple[str, FiniteBinar | None, str | None]:
+    """Solve one task in a worker killed after `timeout` seconds (None for
+    no limit); returns the verified (status, model, reason)."""
+    worker = _Worker(task, solver_spec)
+    try:
+        if not worker.conn.poll(timeout):
+            return UNKNOWN, None, f"timeout after {timeout}s"
+        payload = worker.receive()
+    finally:
+        worker.stop()
+    return _verdict(task, payload)
 
 
 def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
@@ -302,15 +370,11 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
     if path.exists():
         _end_last_line(path)
 
-    goals: dict[tuple, _Goal] = {}
-    order: list[tuple] = []
+    pending: dict[tuple, list[GridTask]] = {}  # per goal, smallest size first
     for gt in tasks:
-        if gt.goal not in goals:
-            goals[gt.goal] = _Goal()
-            order.append(gt.goal)
-        goals[gt.goal].pending.append(gt)
-    for goal in goals.values():
-        goal.pending.sort(key=lambda gt: gt.task.size)
+        pending.setdefault(gt.goal, []).append(gt)
+    for queue in pending.values():
+        queue.sort(key=lambda gt: gt.task.size)
 
     def note(result: SearchResult) -> None:
         outcome.results.append(result)
@@ -330,17 +394,15 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
 
     def absorb(gt: GridTask, result: SearchResult) -> None:
         """Update goal state from a finished task."""
-        state = goals[gt.goal]
         if result.status == SAT:
-            for rest in state.pending:
+            for rest in pending[gt.goal]:
                 cancel(rest, gt.task.size)
-            state.pending.clear()
+            pending[gt.goal].clear()
 
-    for goal_key in order:
-        state = goals[goal_key]
+    for queue in pending.values():
         fresh: list[GridTask] = []
         sat_size = None
-        for gt in state.pending:
+        for gt in queue:
             prior = existing.get(gt.task.key())
             if prior is not None and (
                 prior.status in (SAT, UNSAT)
@@ -353,54 +415,26 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
                 cancel(gt, sat_size)
             else:
                 fresh.append(gt)
-        state.pending = fresh
+        queue[:] = fresh
 
-    in_flight: dict = {}
+    in_flight: dict = {}  # worker connection -> (grid task, worker)
 
     def dispatch() -> None:
-        for goal_key in order:
+        busy = {gt.goal for gt, _ in in_flight.values()}
+        for goal, queue in pending.items():
             if len(in_flight) >= config.workers:
                 return
-            state = goals[goal_key]
-            if state.in_flight or not state.pending:
-                continue
-            gt = state.pending.pop(0)
-            parent, child = mp.Pipe(duplex=False)
-            proc = mp.Process(
-                target=_solve_task,
-                args=(gt.task, config.solver, config.timeout, child),
-            )
-            proc.start()
-            child.close()
-            deadline = None
-            if config.timeout is not None:
-                deadline = time.monotonic() + config.timeout * 1.1 + 2.0
-            state.in_flight = True
-            in_flight[parent] = (gt, proc, deadline, time.monotonic())
+            if queue and goal not in busy:
+                gt = queue.pop(0)
+                worker = _Worker(gt.task, config.solver)
+                in_flight[worker.conn] = (gt, worker)
 
-    def settle(parent, payload) -> None:
-        gt, proc, _, started = in_flight.pop(parent)
-        goals[gt.goal].in_flight = False
-        proc.join()
-        parent.close()
-        seconds = time.monotonic() - started
-        if payload is None:
-            status, model, reason = UNKNOWN, None, "worker died without reporting"
-            outcome.errors.append(f"{gt.task.describe()}: worker crashed")
-        elif payload["status"] == "ERROR":
-            status, model, reason = UNKNOWN, None, payload["reason"]
-            outcome.errors.append(f"{gt.task.describe()}: {payload['reason']}")
-        else:
-            status = payload["status"]
-            reason = payload.get("reason")
-            seconds = payload.get("seconds", seconds)
-            model = None
-            if status == SAT:
-                model = binar_from_dict(payload["model"])
-                complaint = "; ".join(verify(gt.task, model))
-                if complaint:
-                    outcome.errors.append(f"{gt.task.describe()}: {complaint}")
-                    status, model, reason = UNKNOWN, None, f"model failed verification: {complaint}"
+    def finish(gt: GridTask, worker: _Worker, status, model, reason, seconds) -> None:
+        worker.stop()
+        del in_flight[worker.conn]
+        if status in (ERROR, FAIL):
+            outcome.errors.append(f"{gt.task.describe()}: {reason}")
+            status = UNKNOWN
         result = SearchResult(
             task=gt.task, ld=gt.ld, expect_unsat=gt.expect_unsat, status=status,
             model=model, seconds=seconds, solver=config.solver, reason=reason,
@@ -408,39 +442,26 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
         record(result)
         absorb(gt, result)
 
-    def expire() -> None:
-        now = time.monotonic()
-        for parent in list(in_flight):
-            gt, proc, deadline, started = in_flight[parent]
-            if deadline is not None and now > deadline:
-                proc.terminate()
-                proc.join()
-                in_flight.pop(parent)
-                goals[gt.goal].in_flight = False
-                parent.close()
-                result = SearchResult(
-                    task=gt.task, ld=gt.ld, expect_unsat=gt.expect_unsat,
-                    status=UNKNOWN, model=None, seconds=now - started,
-                    solver=config.solver,
-                    reason=f"timeout after {config.timeout}s",
-                )
-                record(result)
-                absorb(gt, result)
-
-    dispatch()
-    while in_flight:
-        step = 0.5
-        now = time.monotonic()
-        deadlines = [d for (_, _, d, _) in in_flight.values() if d is not None]
-        if deadlines:
-            step = max(0.05, min(step, min(deadlines) - now))
-        ready = conn_wait(list(in_flight), timeout=step)
-        for parent in ready:
-            try:
-                payload = parent.recv()
-            except (EOFError, OSError):
-                payload = None
-            settle(parent, payload)
-        expire()
+    try:
         dispatch()
+        while in_flight:
+            wait = None
+            if config.timeout is not None:
+                first = min(w.started for _, w in in_flight.values())
+                wait = max(0.0, first + config.timeout - time.monotonic())
+            for conn in conn_wait(list(in_flight), timeout=wait):
+                gt, worker = in_flight[conn]
+                payload = worker.receive()
+                seconds = (payload or {}).get("seconds", time.monotonic() - worker.started)
+                finish(gt, worker, *_verdict(gt.task, payload), seconds)
+            if config.timeout is not None:
+                now = time.monotonic()
+                for gt, worker in list(in_flight.values()):
+                    if now >= worker.started + config.timeout:
+                        finish(gt, worker, UNKNOWN, None,
+                               f"timeout after {config.timeout}s", now - worker.started)
+            dispatch()
+    finally:
+        for _, worker in in_flight.values():
+            worker.stop()
     return outcome

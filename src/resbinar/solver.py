@@ -3,7 +3,8 @@
 Three paths share one result type: a hermetic DPLL for air-gapped tests, an
 in-process pysat backend ("pysat:<engine>"), and any external solver that
 accepts a DIMACS file path.  No path ever returns SAT without re-checking
-the assignment against every clause.
+the assignment against every clause.  No path keeps a clock: a time limit
+is the orchestrator's, which kills the worker process running the solve.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,11 +24,6 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 DEFAULT_ENGINE = "kissat404"
-
-# engines whose in-process solve can be aborted by a timer thread
-_INTERRUPTIBLE = {"glucose3", "glucose4", "glucose42", "minisat22",
-                  "minisatgh", "maplecm", "maplesat", "mergesat3",
-                  "gluecard3", "gluecard4", "minicard"}
 
 
 class SolverSpawnError(RuntimeError):
@@ -44,7 +39,6 @@ class SolveBudget:
     """Resource ceiling; exceeding it yields UNKNOWN, never a wrong answer."""
 
     max_decisions: int | None = None
-    max_seconds: float | None = None
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,6 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
     """
     start = time.monotonic()
     max_decisions = budget.max_decisions if budget else None
-    max_seconds = budget.max_seconds if budget else None
     nvars = cnf.num_vars
 
     clauses: list[list[int]] = [list(c) for c in cnf.iter_clauses()]
@@ -167,9 +160,6 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
     while True:
         if max_decisions is not None and decisions > max_decisions:
             return SolveResult(UNKNOWN, stats=stats(), reason="decision budget exceeded")
-        if max_seconds is not None and decisions % 64 == 0:
-            if time.monotonic() - start > max_seconds:
-                return SolveResult(UNKNOWN, stats=stats(), reason="time budget exceeded")
         var = scan_from
         while var <= nvars and val[var]:
             var += 1
@@ -207,38 +197,20 @@ def _pad_assignment(pairs: Mapping[int, bool], nvars: int) -> tuple[bool, ...]:
     return tuple(bool(pairs.get(v, False)) for v in range(1, nvars + 1))
 
 
-def solve_pysat(
-    cnf: CnfInstance, engine: str = DEFAULT_ENGINE, budget: SolveBudget | None = None
-) -> SolveResult:
-    """In-process solve via a pysat engine; fastest path for big instances.
-
-    Time budgets are honored only for engines that support interruption;
-    kissat and cadical run to completion, so callers needing hard timeouts
-    must isolate the solve in a killable process.
-    """
+def solve_pysat(cnf: CnfInstance, engine: str = DEFAULT_ENGINE) -> SolveResult:
+    """In-process solve via a pysat engine; fastest path for big instances."""
     try:
         from pysat.solvers import Solver
     except ImportError as exc:
         raise SolverSpawnError(f"pysat unavailable: {exc}") from None
     start = time.monotonic()
-    max_seconds = budget.max_seconds if budget else None
     try:
         solver = Solver(name=engine, bootstrap_with=cnf.iter_clauses())
     except Exception as exc:
         raise SolverSpawnError(f"engine {engine!r} failed to start: {exc}") from None
     with solver:
-        timer = None
-        if max_seconds is not None and engine in _INTERRUPTIBLE:
-            timer = threading.Timer(max_seconds, solver.interrupt)
-            timer.start()
-            outcome = solver.solve_limited(expect_interrupt=True)
-        else:
-            outcome = solver.solve()
-        if timer is not None:
-            timer.cancel()
+        outcome = solver.solve()
         seconds = time.monotonic() - start
-        if outcome is None:
-            return SolveResult(UNKNOWN, stats={"seconds": seconds}, reason="time budget exceeded")
         if not outcome:
             return SolveResult(UNSAT, stats={"seconds": seconds})
         model = solver.get_model() or []
@@ -278,9 +250,7 @@ def parse_solver_output(text: str) -> SolveResult:
     return SolveResult(UNKNOWN, reason="solver reported unknown")
 
 
-def solve_external(
-    cnf: CnfInstance, command: str, timeout: float | None = None
-) -> SolveResult:
+def solve_external(cnf: CnfInstance, command: str) -> SolveResult:
     """Run `command` on a DIMACS temp file and parse its verdict.
 
     The token {file} in the command is replaced by the instance path; when
@@ -299,15 +269,7 @@ def solve_external(
         else:
             argv = argv + [path]
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout
-            )
-        except subprocess.TimeoutExpired:
-            return SolveResult(
-                UNKNOWN,
-                stats={"seconds": time.monotonic() - start},
-                reason=f"timeout after {timeout}s",
-            )
+            proc = subprocess.run(argv, capture_output=True, text=True)
         except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
             raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from None
     seconds = time.monotonic() - start
@@ -331,19 +293,16 @@ def solve_external(
     return SolveResult(result.status, stats={"seconds": seconds}, reason=result.reason)
 
 
-def solve(
-    cnf: CnfInstance, spec: str = "builtin", budget: SolveBudget | None = None
-) -> SolveResult:
+def solve(cnf: CnfInstance, spec: str = "builtin") -> SolveResult:
     """Dispatch on a solver spec string.
 
     "builtin" runs the DPLL; "pysat" or "pysat:<engine>" runs in-process
     CDCL; anything else is an external command template.
     """
     if spec == "builtin":
-        return solve_builtin(cnf, budget)
+        return solve_builtin(cnf)
     if spec == "pysat":
-        return solve_pysat(cnf, DEFAULT_ENGINE, budget)
+        return solve_pysat(cnf, DEFAULT_ENGINE)
     if spec.startswith("pysat:"):
-        return solve_pysat(cnf, spec.split(":", 1)[1], budget)
-    timeout = budget.max_seconds if budget else None
-    return solve_external(cnf, spec, timeout=timeout)
+        return solve_pysat(cnf, spec.split(":", 1)[1])
+    return solve_external(cnf, spec)

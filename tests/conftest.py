@@ -6,7 +6,13 @@ package's own table helpers) so the tests act as an independent check.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import stat
+import time
 from importlib.metadata import PackageNotFoundError, distribution
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +39,55 @@ def require_installed_package():
         distribution("resbinar")
     except PackageNotFoundError:
         pytest.skip("resbinar is not pip-installed: no console scripts")
+
+
+def backgrounding_solver(tmp_path):
+    """An external solver command that never answers: it starts `sleep 30`
+    in the background, writes that pid to a file and waits for it.  Returns
+    the command and the pid file."""
+    pid_file = tmp_path / "solver.pid"
+    path = tmp_path / "backgrounding-solver"
+    path.write_text(f"#!/bin/sh\nsleep 30 &\necho $! > {pid_file}.tmp\n"
+                    f"mv {pid_file}.tmp {pid_file}\nwait\n")
+    path.chmod(path.stat().st_mode | stat.S_IXUSR)
+    return str(path), pid_file
+
+
+def read_pid(pid_file: Path, seconds: float = 10.0) -> int:
+    deadline = time.monotonic() + seconds
+    while not pid_file.exists():
+        assert time.monotonic() < deadline, f"{pid_file} never appeared"
+        time.sleep(0.02)
+    return int(pid_file.read_text())
+
+
+def gone(pid: int, seconds: float = 2.0) -> bool:
+    """Whether the process exits within `seconds`.  A zombie counts as
+    gone: an orphan is not always reaped where the tests run."""
+    deadline = time.monotonic() + seconds
+    while True:
+        try:
+            stat_line = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return True
+        if stat_line.rsplit(")", 1)[1].split()[0] == "Z":
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+
+
+def kill_leftovers(pid_file: Path | None = None) -> None:
+    """Kill what a test may have left running: worker processes and the
+    background process of backgrounding_solver."""
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join()
+    if pid_file is not None and pid_file.exists():
+        try:
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 def lattice_tables_from_leq(leq):

@@ -1,15 +1,27 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-import resbinar.cli
+import resbinar.orchestrator
+import resbinar.solver
 from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model
 from resbinar.cli import main
 from resbinar.dimacs_cli import main as rbsat_main, read_dimacs
+from resbinar.solver import UNKNOWN, SolveResult
 
-from conftest import ENGINE, chain_tables, make_binar, require_installed_package
+from conftest import (
+    ENGINE,
+    backgrounding_solver,
+    chain_tables,
+    gone,
+    kill_leftovers,
+    make_binar,
+    read_pid,
+    require_installed_package,
+)
 
 
 @pytest.fixture
@@ -71,13 +83,60 @@ def test_search_unsat(capsys):
 
 def test_search_invalid_task(capsys):
     assert main(["search", "--size", "2", "--assume", "D1", "--refute", "D1"]) == 2
+    assert main(["search", "--size", "40"]) == 2
+    assert "beyond ceiling 32" in capsys.readouterr().err
+
+
+def test_search_rejects_a_timeout_that_is_not_positive(capsys):
+    for timeout in ("0", "-1", "nan"):
+        code = main(["search", "--size", "2", "--solver", "builtin", "--timeout", timeout])
+        assert code == 2
+        assert "invalid timeout" in capsys.readouterr().err
+
+
+def test_search_reports_a_solver_that_cannot_start(capsys):
+    assert main(["search", "--size", "2", "--solver", "/no/such"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR: SolverSpawnError: cannot run '/no/such'")
+    assert captured.out == ""
+
+
+def test_search_timeout_stops_an_engine_that_ignores_it(monkeypatch, capsys):
+    def sleeper(cnf, *budget):
+        time.sleep(10)
+        return SolveResult(UNKNOWN, reason="slept")
+
+    # the worker is forked, so it solves with the patched engine
+    monkeypatch.setattr(resbinar.solver, "solve_builtin", sleeper)
+    try:
+        start = time.monotonic()
+        code = main(["search", "--size", "2", "--solver", "builtin", "--timeout", "0.5"])
+        elapsed = time.monotonic() - start
+    finally:
+        kill_leftovers()
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("UNKNOWN:") and "timeout after 0.5s" in out
+    assert elapsed < 5
+
+
+def test_search_timeout_kills_a_slow_external_solver(tmp_path, capsys):
+    command, pid_file = backgrounding_solver(tmp_path)
+    try:
+        code = main(["search", "--size", "2", "--solver", command, "--timeout", "0.5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("UNKNOWN:") and "timeout" in out
+        assert gone(read_pid(pid_file))
+    finally:
+        kill_leftovers(pid_file)
 
 
 def test_search_withholds_a_model_that_fails_verification(tmp_path, monkeypatch, capsys):
     meet, join = chain_tables(2)
     data = binar_to_dict(make_binar(meet, join, meet))
     data["ops"]["lres"] = [[0, 0], [0, 0]]  # wrong residual
-    monkeypatch.setattr(resbinar.cli, "decode_model",
+    monkeypatch.setattr(resbinar.orchestrator, "decode_model",
                         lambda assignment, varmap, n: binar_from_dict(data))
     out = tmp_path / "model.json"
     code = main(["search", "--size", "2", "--solver", "builtin", "--out", str(out)])
@@ -137,8 +196,12 @@ def test_grid_and_report_end_to_end(tmp_path, capsys):
     assert "refute D3" in summary and "no model in range" in summary
 
 
-def test_grid_rejects_bad_config(capsys):
+def test_grid_rejects_bad_config(tmp_path, capsys):
     assert main(["grid", "--targets", "D9", "--max-size", "2"]) == 2
+    for timeout in ("0", "-1"):
+        assert main(["grid", "--max-size", "2", "--timeout", timeout,
+                     "--out", str(tmp_path)]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_enumerate_count_only(capsys):

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import multiprocessing
 import warnings
 
 import pytest
 
+import resbinar.orchestrator
 from resbinar.algebra import check_identity, check_lattice, check_residuation
 from resbinar.encoder import SearchTask
 from resbinar.orchestrator import (
@@ -19,7 +21,15 @@ from resbinar.orchestrator import (
 )
 from resbinar.terms import DISTRIBUTIVITY_NAMES, builtin
 
-from conftest import ENGINE, chain_tables, make_binar
+from conftest import (
+    ENGINE,
+    backgrounding_solver,
+    chain_tables,
+    gone,
+    kill_leftovers,
+    make_binar,
+    read_pid,
+)
 
 
 def test_implication_closure_rules():
@@ -58,6 +68,9 @@ def test_grid_config_validation():
         GridConfig(max_size=99)
     with pytest.raises(ConfigError):
         GridConfig(workers=0)
+    for timeout in (0, -1, float("nan")):
+        with pytest.raises(ConfigError):
+            GridConfig(timeout=timeout)
     with pytest.raises(ConfigError):
         GridConfig(subsets=(frozenset({"LD"}),), policy="explicit")
 
@@ -294,3 +307,32 @@ def test_run_grid_timeout_returns_unknown(tmp_path):
     assert len(outcome.results) == 1
     assert outcome.results[0].status == "UNKNOWN"
     assert "timeout" in outcome.results[0].reason
+
+
+def test_run_grid_timeout_kills_the_external_solver(tmp_path):
+    command, pid_file = backgrounding_solver(tmp_path)
+    try:
+        config, tasks, outcome = grid_to_completion(
+            tmp_path / "out", max_size=2, timeout=0.5, solver=command
+        )
+        assert [r.reason for r in outcome.results] == ["timeout after 0.5s"]
+        assert gone(read_pid(pid_file))
+    finally:
+        kill_leftovers(pid_file)
+
+
+def test_interrupted_run_grid_leaves_no_process(tmp_path, monkeypatch):
+    command, pid_file = backgrounding_solver(tmp_path)
+
+    def interrupt(conns, timeout=None):
+        read_pid(pid_file)  # the first task's solver is running
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(resbinar.orchestrator, "conn_wait", interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            grid_to_completion(tmp_path / "out", solver=command)
+        assert multiprocessing.active_children() == []
+        assert gone(read_pid(pid_file))
+    finally:
+        kill_leftovers(pid_file)

@@ -157,13 +157,6 @@ def test_external_exit_10_without_model(tmp_path):
         solve_external(tiny_sat(), cmd)
 
 
-def test_external_timeout(tmp_path):
-    cmd = script(tmp_path, "fake-slow", "sleep 5\n")
-    res = solve_external(tiny_sat(), cmd, timeout=0.2)
-    assert res.status == UNKNOWN
-    assert "timeout" in res.reason
-
-
 def test_external_missing_binary():
     with pytest.raises(SolverSpawnError):
         solve_external(tiny_sat(), "/no/such/solver")
@@ -180,7 +173,7 @@ def test_solve_dispatcher(tmp_path, monkeypatch):
     # answers are checked by test_pysat_sat_unsat
     calls = []
 
-    def record(cnf, engine, budget):
+    def record(cnf, engine):
         calls.append(engine)
         return SolveResult(UNSAT)
 
