@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -155,7 +156,8 @@ def _cmd_search(args) -> int:
         print(f"ERROR: {reason}", file=sys.stderr)
         return EXIT_FAIL
     if status == FAIL:
-        print(f"FAIL: decoded model for {task.describe()}: {reason}")
+        for line in reason.splitlines():
+            print(f"FAIL: decoded model for {task.describe()}: {line}")
         return EXIT_FAIL
     if status == SAT:
         print(f"SAT: {task.describe()}")
@@ -265,11 +267,18 @@ def main(argv=None) -> int:
         "report": _cmd_report,
         "enumerate": _cmd_enumerate,
     }
+    # Task workers lead their own process groups, out of the terminal's reach;
+    # SIGTERM and SIGHUP unwind like Ctrl-C, through the `finally`s that kill them.
+    previous = {sig: signal.signal(sig, lambda signum, _: sys.exit(128 + signum))
+                for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         return handlers[args.command](args)
     except (ConfigError, BoundExceeded) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, signal.SIG_DFL if handler is None else handler)
 
 
 if __name__ == "__main__":

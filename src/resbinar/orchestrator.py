@@ -8,7 +8,8 @@ re-verifies every claimed model before recording it.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
 leads its own process group.  This is the package's one time limit: at the
-deadline, or when the caller leaves by any route, the whole group is
+deadline, or when the caller unwinds (an exception, Ctrl-C, or SIGTERM and
+SIGHUP, which `cli.main` turns into `SystemExit`), the whole group is
 killed, an external solver included, whatever the engine and layer.
 """
 
@@ -33,6 +34,9 @@ from .solver import DEFAULT_ENGINE, SAT, UNKNOWN, UNSAT, solve
 from .terms import DISTRIBUTIVITY_NAMES
 
 SIZE_CEILING = 14
+# fork, whatever the interpreter's default: the coordinator must be the
+# worker's parent for its setpgid to make the group before any kill
+_FORK = mp.get_context("fork")
 RESULTS_NAME = "results.jsonl"
 _CANCELLED = "cancelled: goal satisfied at size"
 
@@ -295,8 +299,8 @@ class _Worker:
     def __init__(self, task: SearchTask, solver_spec: str):
         self.started = time.monotonic()
         self.scratch = tempfile.mkdtemp(prefix="resbinar-")
-        self.conn, child = mp.Pipe(duplex=False)
-        self.proc = mp.Process(target=_solve_task, args=(task, solver_spec, self.scratch, child))
+        self.conn, child = _FORK.Pipe(duplex=False)
+        self.proc = _FORK.Process(target=_solve_task, args=(task, solver_spec, self.scratch, child))
         self.proc.start()
         child.close()
         # as shells do, so that the group exists before stop() can be called
@@ -325,7 +329,8 @@ class _Worker:
 
 def _verdict(task: SearchTask, payload: dict | None) -> tuple[str, FiniteBinar | None, str | None]:
     """(status, model, reason) of a worker payload; a model only after it
-    passes verify.  The status is ERROR or FAIL for a task that failed."""
+    passes verify.  The status is ERROR or FAIL for a task that failed; a
+    FAIL's reason holds verify's complaints, one a line."""
     if payload is None:
         return ERROR, None, "worker died without reporting"
     status, reason = payload["status"], payload.get("reason")
@@ -334,7 +339,7 @@ def _verdict(task: SearchTask, payload: dict | None) -> tuple[str, FiniteBinar |
     model = binar_from_dict(payload["model"])
     failures = verify(task, model)
     if failures:
-        return FAIL, None, "model failed verification: " + "; ".join(failures)
+        return FAIL, None, "\n".join(failures)
     return SAT, model, reason
 
 
@@ -392,13 +397,6 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
             reason=f"{_CANCELLED} {sat_size}",
         ))
 
-    def absorb(gt: GridTask, result: SearchResult) -> None:
-        """Update goal state from a finished task."""
-        if result.status == SAT:
-            for rest in pending[gt.goal]:
-                cancel(rest, gt.task.size)
-            pending[gt.goal].clear()
-
     for queue in pending.values():
         fresh: list[GridTask] = []
         sat_size = None
@@ -432,6 +430,8 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
     def finish(gt: GridTask, worker: _Worker, status, model, reason, seconds) -> None:
         worker.stop()
         del in_flight[worker.conn]
+        if status == FAIL:
+            reason = "model failed verification: " + reason.replace("\n", "; ")
         if status in (ERROR, FAIL):
             outcome.errors.append(f"{gt.task.describe()}: {reason}")
             status = UNKNOWN
@@ -440,7 +440,10 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
             model=model, seconds=seconds, solver=config.solver, reason=reason,
         )
         record(result)
-        absorb(gt, result)
+        if status == SAT:  # the goal is answered: cancel its larger sizes
+            for rest in pending[gt.goal]:
+                cancel(rest, gt.task.size)
+            pending[gt.goal].clear()
 
     try:
         dispatch()

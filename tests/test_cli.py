@@ -1,15 +1,19 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import resbinar.orchestrator
 import resbinar.solver
-from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model
+from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model, verify
 from resbinar.cli import main
 from resbinar.dimacs_cli import main as rbsat_main, read_dimacs
+from resbinar.encoder import SearchTask
 from resbinar.solver import UNKNOWN, SolveResult
 
 from conftest import (
@@ -145,6 +149,40 @@ def test_search_withholds_a_model_that_fails_verification(tmp_path, monkeypatch,
     assert "residuation fails" in text
     assert "SAT:" not in text and "{" not in text
     assert not out.exists()
+    task = SearchTask(2, frozenset())
+    assert text.splitlines() == [f"FAIL: decoded model for {task.describe()}: {line}"
+                                 for line in verify(task, binar_from_dict(data))]
+
+
+@pytest.mark.parametrize("command, signum", [
+    (["search", "--size", "2"], signal.SIGTERM),
+    (["search", "--size", "2"], signal.SIGHUP),
+    (["grid", "--min-size", "2", "--max-size", "2", "--targets", "D1"], signal.SIGTERM),
+])
+def test_a_signalled_command_leaves_no_solver_running(tmp_path, command, signum):
+    solver, pid_file = backgrounding_solver(tmp_path)
+    src = str(Path(resbinar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resbinar.cli", *command, "--solver", solver],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pid = None
+    try:
+        pid = read_pid(pid_file)
+        proc.send_signal(signum)
+        code = proc.wait(timeout=10)
+        assert gone(pid)
+        assert code == 128 + signum
+    finally:
+        proc.kill()
+        proc.wait()
+        if pid is not None:
+            try:  # the worker's group: the worker, the solver shell, `sleep`
+                os.killpg(os.getpgid(pid), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def test_search_prints_model_json(capsys):
