@@ -23,7 +23,6 @@ from .algebra import (
     covering_relation,
     derive_order,
     derive_residuals,
-    eval_term,
     load_model,
     order_from_tables,
     save_model,

@@ -49,10 +49,6 @@ class NotResiduated(ValueError):
         super().__init__(f"no {side} residual at cell ({row},{col})")
 
 
-class UnboundVariable(KeyError):
-    pass
-
-
 class SizeMismatch(ValueError):
     pass
 
@@ -207,21 +203,6 @@ def _join_table_of_order(order: OrderRelation) -> Table:
 
 
 # --- evaluation and identity checking ----------------------------------------
-
-def eval_term(t: Term, env: Mapping[str, int], b: FiniteBinar) -> int:
-    """Bottom-up table-lookup evaluation of a term."""
-    if isinstance(t, Variable):
-        try:
-            value = env[t.name]
-        except KeyError:
-            raise UnboundVariable(t.name) from None
-        if not 0 <= value < b.size:
-            raise ValueError(f"environment value {value} outside carrier")
-        return value
-    left = eval_term(t.left, env, b)
-    right = eval_term(t.right, env, b)
-    return b.table(t.op)[left][right]
-
 
 def _compile_term(t: Term, slot: dict[str, int], tables: dict[str, Table]):
     """Closure evaluating t on a tuple of variable values (hot path)."""

@@ -14,7 +14,14 @@ import signal
 import sys
 from pathlib import Path
 
-from .algebra import are_isomorphic, binar_to_dict, check_identity, load_model, verify
+from .algebra import (
+    are_isomorphic,
+    binar_to_dict,
+    check_identity,
+    load_model,
+    save_model,
+    verify,
+)
 from .encoder import EncodeOptions, SearchTask, encode_search, write_dimacs_file
 from .oracle import (
     BoundExceeded,
@@ -25,6 +32,7 @@ from .oracle import (
 from .orchestrator import (
     ERROR,
     FAIL,
+    RESULTS_NAME,
     ConfigError,
     GridConfig,
     build_grid,
@@ -161,12 +169,16 @@ def _cmd_search(args) -> int:
         return EXIT_FAIL
     if status == SAT:
         print(f"SAT: {task.describe()}")
-        text = json.dumps(binar_to_dict(model), indent=1)
         if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            try:
+                save_model(model, args.out)
+            except OSError as exc:
+                print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+                print(json.dumps(binar_to_dict(model), indent=1))
+                return EXIT_USAGE
             print(f"model written to {args.out}")
         else:
-            print(text)
+            print(json.dumps(binar_to_dict(model), indent=1))
         return EXIT_SAT
     if status == UNSAT:
         print(f"UNSAT: {task.describe()}")
@@ -214,13 +226,25 @@ def _cmd_encode(args) -> int:
     except ValueError as exc:
         print(f"invalid task: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    write_dimacs_file(cnf, args.dimacs)
+    try:
+        write_dimacs_file(cnf, args.dimacs)
+    except OSError as exc:
+        print(f"cannot write {args.dimacs}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"p cnf {cnf.num_vars} {cnf.clause_count} -> {args.dimacs}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    results = load_results(args.in_dir)
+    path = Path(args.in_dir) / RESULTS_NAME
+    if not path.exists():
+        print(f"no results to report: {path} does not exist", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        results = load_results(args.in_dir)
+    except OSError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     written = report_bundle(results, args.out_dir)
     print(f"{len(written)} files written to {args.out_dir}")
     return EXIT_OK

@@ -3,9 +3,16 @@
 Every cell of every operation table gets n boolean variables, one per
 candidate value, under an exactly-one constraint.  The order is not a
 separate relation: leq(x,y) abbreviates the meet variable for meet[x][y]=x.
-Nested terms are flattened through shared auxiliary value groups; a group
-is exact (one true variable, the term's value) because its defining clauses
-force the true value upward and an at-most-one ring forbids extras.
+
+Under an assignment of carrier values to its variables, a term's value is
+either a carrier constant (an int: the term is a variable) or a tuple of n
+literals whose v-th asserts value v: a table cell's own variables when both
+arguments are constants, otherwise the fresh variables of an auxiliary term
+shared through VarMap.aux.  An auxiliary tuple is exact (one true literal)
+because its defining clauses force the true value upward and an at-most-one
+ring forbids extras.  The encoder relies on the catalogue never putting a
+bare variable on an assumed identity's left side or on either side of a
+refuted one, so those sides are always literal tuples.
 """
 
 from __future__ import annotations
@@ -79,8 +86,7 @@ class SearchTask:
         assume: Iterable[Identity | str] = (),
         refute: Identity | str | None = None,
     ) -> "SearchTask":
-        return cls(size, frozenset(_canonical_name(a) for a in assume),
-                   None if refute is None else _canonical_name(refute))
+        return cls(size, assume, refute)
 
     def key(self) -> tuple:
         return (self.size, tuple(sorted(self.assume)), self.refute or "")
@@ -92,7 +98,8 @@ class SearchTask:
 
 @dataclass
 class VarMap:
-    """Base variable layout plus the registry of auxiliary value groups."""
+    """Base variable layout plus the literal tuples of auxiliary terms,
+    keyed by (op, left value, right value)."""
 
     n: int
     aux: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
@@ -184,19 +191,6 @@ class EncodeOptions:
     symmetry: bool = True
 
 
-class _Group:
-    """One-hot value group: lit(v) is the literal asserting value v."""
-
-    __slots__ = ("key", "lits")
-
-    def __init__(self, key: tuple, lits: tuple[int, ...]):
-        self.key = key
-        self.lits = lits
-
-    def lit(self, v: int) -> int:
-        return self.lits[v]
-
-
 class _Encoder:
     def __init__(self, task: SearchTask, opts: EncodeOptions):
         self.task = task
@@ -205,7 +199,6 @@ class _Encoder:
         self.varmap = VarMap(self.n)
         self.cnf = CnfInstance(num_vars=self.varmap.num_base)
         self.cnf.varmap = self.varmap
-        self._false: int | None = None
 
     def build(self) -> CnfInstance:
         self._exactly_one_cells()
@@ -224,103 +217,64 @@ class _Encoder:
     # -- building blocks
 
     def _exactly_one_cells(self) -> None:
-        n, vm, add = self.n, self.varmap, self.cnf.add_clause
+        n, vm = self.n, self.varmap
         for op in OPS:
             for row in range(n):
                 for col in range(n):
                     cell = [vm.var(op, row, col, v) for v in range(n)]
-                    add(cell)
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            add((-cell[i], -cell[j]))
+                    self.cnf.add_clause(cell)
+                    self._at_most_one(cell)
 
-    def _false_lit(self) -> int:
-        if self._false is None:
-            self._false = self.cnf.new_var()
-            self.cnf.add_clause((-self._false,))
-        return self._false
-
-    def _cell_group(self, op: str, a: int, b: int) -> _Group:
-        vm = self.varmap
-        return _Group(("cell", op, a, b),
-                      tuple(vm.var(op, a, b, v) for v in range(self.n)))
-
-    def _key(self, src) -> tuple:
-        return ("const", src) if isinstance(src, int) else src.key
+    def _at_most_one(self, lits) -> None:
+        for a, b in itertools.combinations(lits, 2):
+            self.cnf.add_clause((-a, -b))
 
     def _flatten(self, t: Term, env: Mapping[str, int]):
-        """Value source of a term: an int or an exact one-hot group."""
+        """Value of a term: an int, or a tuple of literals, one per value."""
         if isinstance(t, Variable):
             return env[t.name]
         left = self._flatten(t.left, env)
         right = self._flatten(t.right, env)
         if isinstance(left, int) and isinstance(right, int):
-            return self._cell_group(t.op, left, right)
-        return self._aux(t.op, left, right)
-
-    def _aux(self, op: str, left, right) -> _Group:
-        key = ("aux", op, self._key(left), self._key(right))
+            return tuple(self.varmap.var(t.op, left, right, v) for v in range(self.n))
+        key = (t.op, left, right)
         lits = self.varmap.aux.get(key)
-        if lits is not None:
-            return _Group(key, lits)
-        n = self.n
-        lits = tuple(self.cnf.new_var() for _ in range(n))
-        self.varmap.aux[key] = lits
-        group = _Group(key, lits)
-        self._force_into(op, left, right, group)
-        add = self.cnf.add_clause
-        for i in range(n):
-            for j in range(i + 1, n):
-                add((-lits[i], -lits[j]))
-        return group
+        if lits is None:
+            lits = tuple(self.cnf.new_var() for _ in range(self.n))
+            self.varmap.aux[key] = lits
+            self._force_into(t.op, left, right, lits)
+            self._at_most_one(lits)
+        return lits
 
-    def _force_into(self, op: str, left, right, target: _Group) -> None:
-        """Clauses: left=a and right=b and op[a][b]=v imply target=v."""
+    def _choices(self, value) -> list[tuple[int, tuple[int, ...]]]:
+        """(a, clause prefix false exactly when the value is a) for each a."""
+        if isinstance(value, int):
+            return [(value, ())]
+        return [(a, (-lit,)) for a, lit in enumerate(value)]
+
+    def _force_into(self, op: str, left, right, target) -> None:
+        """Clauses: left=a and right=b and op[a][b]=v imply target=v, where
+        target is an int or a tuple of literals."""
         n, vm, add = self.n, self.varmap, self.cnf.add_clause
-        lvals = (left,) if isinstance(left, int) else range(n)
-        rvals = (right,) if isinstance(right, int) else range(n)
-        for a in lvals:
-            pa = () if isinstance(left, int) else (-left.lit(a),)
-            for b in rvals:
-                pb = () if isinstance(right, int) else (-right.lit(b),)
-                prefix = pa + pb
-                for v in range(n):
-                    add(prefix + (-vm.var(op, a, b, v), target.lit(v)))
+        rights = self._choices(right)
+        pairs = [(a, b, pa + pb) for a, pa in self._choices(left) for b, pb in rights]
+        if isinstance(target, int):
+            for a, b, prefix in pairs:
+                add(prefix + (vm.var(op, a, b, target),))
+            return
+        for a, b, prefix in pairs:
+            for v in range(n):
+                add(prefix + (-vm.var(op, a, b, v), target[v]))
 
     def _assert_identity(self, ident: Identity) -> None:
         """Force lhs = rhs on every tuple of carrier values."""
+        lhs = ident.lhs
         names = identity_variables(ident)
         for tup in itertools.product(range(self.n), repeat=len(names)):
             env = dict(zip(names, tup))
             rhs = self._flatten(ident.rhs, env)
-            if isinstance(rhs, int):
-                self._assert_equals_const(ident.lhs, env, rhs)
-            else:
-                self._assert_into_group(ident.lhs, env, rhs)
-
-    def _assert_into_group(self, t: Term, env: Mapping[str, int], target: _Group) -> None:
-        if isinstance(t, Variable):
-            self.cnf.add_clause((target.lit(env[t.name]),))
-            return
-        left = self._flatten(t.left, env)
-        right = self._flatten(t.right, env)
-        self._force_into(t.op, left, right, target)
-
-    def _assert_equals_const(self, t: Term, env: Mapping[str, int], value: int) -> None:
-        if isinstance(t, Variable):
-            if env[t.name] != value:
-                self.cnf.add_clause((self._false_lit(),))
-            return
-        n, vm, add = self.n, self.varmap, self.cnf.add_clause
-        left = self._flatten(t.left, env)
-        right = self._flatten(t.right, env)
-        lvals = (left,) if isinstance(left, int) else range(n)
-        rvals = (right,) if isinstance(right, int) else range(n)
-        for a in lvals:
-            pa = () if isinstance(left, int) else (-left.lit(a),)
-            for b in rvals:
-                pb = () if isinstance(right, int) else (-right.lit(b),)
-                add(pa + pb + (vm.var(t.op, a, b, value),))
+            self._force_into(lhs.op, self._flatten(lhs.left, env),
+                             self._flatten(lhs.right, env), rhs)
 
     def _residuation(self) -> None:
         """x*y <= z iff y <= x\\z iff x <= z/y, expanded per cell values."""
@@ -344,25 +298,17 @@ class _Encoder:
 
     def _refute(self, ident: Identity) -> None:
         """Some tuple must witness lhs != rhs: one selector per tuple."""
-        n, add = self.n, self.cnf.add_clause
+        add = self.cnf.add_clause
         names = identity_variables(ident)
         selectors = []
-        for tup in itertools.product(range(n), repeat=len(names)):
+        for tup in itertools.product(range(self.n), repeat=len(names)):
             env = dict(zip(names, tup))
             w = self.cnf.new_var()
             selectors.append(w)
             lhs = self._flatten(ident.lhs, env)
             rhs = self._flatten(ident.rhs, env)
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                if lhs == rhs:
-                    add((-w,))
-            elif isinstance(lhs, int):
-                add((-w, -rhs.lit(lhs)))
-            elif isinstance(rhs, int):
-                add((-w, -lhs.lit(rhs)))
-            else:
-                for v in range(n):
-                    add((-w, -lhs.lit(v), -rhs.lit(v)))
+            for l, r in zip(lhs, rhs):
+                add((-w, -l, -r))
         add(selectors)
 
 

@@ -9,7 +9,6 @@ from resbinar.algebra import (
     NotResiduated,
     OrderInconsistent,
     SizeMismatch,
-    UnboundVariable,
     UnknownOp,
     are_isomorphic,
     binar_from_dict,
@@ -20,13 +19,12 @@ from resbinar.algebra import (
     covering_relation,
     derive_order,
     derive_residuals,
-    eval_term,
     load_model,
     order_from_tables,
     save_model,
     table_isomorphism,
 )
-from resbinar.terms import builtin, parse_term
+from resbinar.terms import builtin
 
 from conftest import M3_LEQ, chain_tables, lattice_tables_from_leq, make_binar
 
@@ -88,16 +86,6 @@ def test_check_residuation_flags_bad_mult():
             v.env == bad and v.axiom == "residuation:mult-lres"
             for v in report.violations
         )
-
-
-def test_eval_term_on_m3(m3_zero):
-    t = parse_term("x ^ (y v z)")
-    assert eval_term(t, {"x": 1, "y": 2, "z": 3}, m3_zero) == 1
-
-
-def test_eval_term_unbound_variable(two_chain_min):
-    with pytest.raises(UnboundVariable):
-        eval_term(parse_term("x ^ y"), {"x": 0}, two_chain_min)
 
 
 def test_check_identity_ld_fails_on_m3(m3_zero):

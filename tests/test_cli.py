@@ -79,6 +79,18 @@ def test_search_sat_writes_model(tmp_path, capsys):
     assert model.size == 3
 
 
+def test_search_keeps_a_model_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "model.json"
+    code = main(["search", "--size", "2", "--solver", "builtin", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {out}:" in captured.err
+    text = captured.out
+    model = binar_from_dict(json.loads(text[text.index("{"):]))
+    assert verify(SearchTask(2), model) == []
+    assert not out.parent.exists()
+
+
 def test_search_unsat(capsys):
     code = main(["search", "--size", "3", "--refute", "D4", "--solver", "builtin"])
     assert code == 20
@@ -213,6 +225,12 @@ def test_encode_no_symmetry_differs(tmp_path):
     assert len(read_dimacs(str(a))[1]) > len(read_dimacs(str(b))[1])
 
 
+def test_encode_reports_a_dimacs_path_it_cannot_write(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "task.cnf"
+    assert main(["encode", "--size", "2", "--dimacs", str(path)]) == 2
+    assert f"cannot write {path}:" in capsys.readouterr().err
+
+
 def test_grid_and_report_end_to_end(tmp_path, capsys):
     # Refuting D3 under the other five plus LD is one of the derived
     # implications, so every size must come back UNSAT.
@@ -232,6 +250,24 @@ def test_grid_and_report_end_to_end(tmp_path, capsys):
     assert main(["report", "--in", str(results), "--out", str(report_dir)]) == 0
     summary = (report_dir / "summary.tex").read_text()
     assert "refute D3" in summary and "no model in range" in summary
+
+
+def test_report_rejects_a_missing_result_directory(tmp_path, capsys):
+    report_dir = tmp_path / "report"
+    code = main(["report", "--in", str(tmp_path / "no-such-dir"), "--out", str(report_dir)])
+    assert code == 2
+    assert "results.jsonl does not exist" in capsys.readouterr().err
+    assert not report_dir.exists()
+
+
+def test_report_rejects_a_corrupt_result_file(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results.jsonl").write_text('{"status": "SAT"}\n{"status": "SAT"}\n')
+    report_dir = tmp_path / "report"
+    assert main(["report", "--in", str(results), "--out", str(report_dir)]) == 1
+    assert capsys.readouterr().err.startswith("ERROR: corrupt result line 1")
+    assert not report_dir.exists()
 
 
 def test_grid_rejects_bad_config(tmp_path, capsys):

@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 
 import pytest
 
@@ -17,7 +17,7 @@ from resbinar.encoder import (
     write_dimacs_file,
 )
 from resbinar.solver import SAT, UNSAT, solve_builtin
-from resbinar.terms import OPS, builtin
+from resbinar.terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
 
 
 def dimacs_bytes(cnf, directory, name="out.cnf"):
@@ -191,3 +191,52 @@ def test_encoding_is_deterministic(tmp_path):
     a = dimacs_bytes(encode_search(task), tmp_path, "a.cnf")
     b = dimacs_bytes(encode_search(task), tmp_path, "b.cnf")
     assert a == b
+
+
+# SHA-256 of write_dimacs_file output, recorded before the encoder's term
+# values were reworked; any change to variables, clauses or their order shows.
+ENCODING_DIGESTS = {
+    "assume D1": "4822e0049e0675d9fbedd4ae3a785eac2f6f7820131831735d04be2d935c0d90",
+    "refute D1": "baf50ecd1497bc95cefb1f37865ea39ddbb1f397c68b21a8688ee6a7cad68f83",
+    "assume D2": "9ec5037568d69a1acfde61bf02f7f346833b19a0cb1268e3f463e944ee75fe2b",
+    "refute D2": "f1ead54decc33262245586839da8eb71bd27e4faa579892df64275c14c5b6f65",
+    "assume D3": "2b9ca19542e6319ca59387580f57c4fdb736ed389145e83bcf668cc3a580c7ad",
+    "refute D3": "8e3bc7e6fa90328e517dc28c81dc65f3612215ca740dda6734d6b42ff5a43570",
+    "assume D4": "67aaf60990a68c7a3a2ac575ded1cd62628ee83e9eef7a430604636a28f20d7d",
+    "refute D4": "53209ab1773f26dda7a34a149f922adb26304b8ef6e6ea3d5b94716a93311657",
+    "assume D5": "0ebdb842eb0d2e9b25fc0ec66bc97e1784e0c0d9c38fd4f99996b52f86b2dfd4",
+    "refute D5": "8a17a5295ce5e0d7fc2ece560b2cc7a03c49a70bbe401218e6addc5b13286d0c",
+    "assume D6": "c15968a4d125f230bd7473ca05a85e9a62a19de5580b190bd1c0cd71237470cc",
+    "refute D6": "ff57834457ac14ca1e4ac5f7a47bf5bdb2538e7140cb55e43971350feea87d31",
+    "assume LD": "3434bab07ef9c4be4e816769d9d7d7fc8ab3b9d6d1187d938359254d1c5630ea",
+    "refute LD": "36005b62141f5e6c4ac459a8f92bf9af480f42e8ca28ff3e241086d88cae9833",
+    "base, no symmetry": "c1f9c6aaab8371d3d448cf7c4ba4873c79a5d701c341ad6206e8a557fcd95e82",
+    "others ⊢ D1": "54c67d86ddeb2300d9d056f48b558d12412f9c996d959588d6ab28a65d429229",
+    "others ⊢ D2": "dd867d2b543e9ae8a6da9d79847f95e65e8372ca9cb6c171790f57aabd34a992",
+    "others ⊢ D3": "00b19c0aaafc133f93e06afd0a9f1b7ebae9b06bb0fa461ae5e80c6cd449fbe3",
+    "others ⊢ D4": "dad737aea52bf60f4740915646c4b1f716cb67ea39c6a5eafa5aa73f1a21d0c9",
+    "others ⊢ D5": "837721cd17afd353bfeb152461e4b05f4e0d3afe31251ef9e8f6c4259b769710",
+    "others ⊢ D6": "eedc74b8e8616e300c934ce6190281c93e3bc038c49033e5a6ccdc1c42d3dae4",
+    "n=4 LD,D1 ⊢ D3": "9c8782ff5f09adb961db0c76cb4ccdd1e28c7e1a5bdf7a9b3f06f40259de5b15",
+}
+
+
+def pinned_encodings():
+    """Each assumed and each refuted identity alone at n = 3, the base task
+    without symmetry, the criterion-3 tasks at n = 3 and one LD task at n = 4."""
+    for name in IDENTITY_NAMES:
+        yield f"assume {name}", SearchTask.make(3, assume=(name,)), True
+        yield f"refute {name}", SearchTask.make(3, refute=name), True
+    yield "base, no symmetry", SearchTask(3), False
+    for target in DISTRIBUTIVITY_NAMES:
+        others = [d for d in DISTRIBUTIVITY_NAMES if d != target]
+        yield f"others ⊢ {target}", SearchTask.make(3, assume=others, refute=target), True
+    yield "n=4 LD,D1 ⊢ D3", SearchTask.make(4, assume=("LD", "D1"), refute="D3"), True
+
+
+def test_every_identity_encodes_byte_for_byte_as_pinned(tmp_path):
+    digests = {}
+    for label, task, symmetry in pinned_encodings():
+        cnf = encode_search(task, EncodeOptions(symmetry=symmetry))
+        digests[label] = hashlib.sha256(dimacs_bytes(cnf, tmp_path)).hexdigest()
+    assert digests == ENCODING_DIGESTS

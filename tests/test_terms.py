@@ -149,6 +149,15 @@ def test_lattice_identities_are_the_usual_eight():
     assert "meet-absorption" in names and "join-absorption" in names
 
 
+def test_no_catalogue_identity_has_a_bare_variable_where_the_encoder_forbids_it():
+    # The encoder forces each assumed identity's left side into its right
+    # side's value, and a refutation compares two table-derived values.
+    for ident in LATTICE_IDENTITIES + tuple(builtin(n) for n in IDENTITY_NAMES):
+        assert not isinstance(ident.lhs, Variable), ident.name
+    for name in IDENTITY_NAMES:
+        assert not isinstance(builtin(name).rhs, Variable), name
+
+
 def test_term_variables_sorted_and_deduplicated():
     assert term_variables(parse_term("(b ^ a) v b")) == ("a", "b")
 
