@@ -128,17 +128,22 @@ class VarMap:
 
 
 class CnfInstance:
-    """Clause store in a flat zero-terminated literal array.
+    """Clause store: every literal in one flat array, and the end offset of
+    each clause in a second, so a clause is one slice of the first.
 
     Duplicate literals within a clause are removed and tautologies are
     silently dropped, so downstream watched-literal handling never sees a
-    clause watching one variable twice.
+    clause watching one variable twice.  An instance from encode_search
+    starts as a copy of its size's base clauses from _cache_base, which keeps
+    them for the life of the process: 2.5 MiB of arrays at n = 7, 8.9 MiB
+    at n = 9.
     """
 
     def __init__(self, num_vars: int = 0):
         self.num_vars = num_vars
         self.clause_count = 0
         self._lits = array("i")
+        self._ends = array("i")
         self.varmap: VarMap | None = None
 
     @classmethod
@@ -169,17 +174,15 @@ class CnfInstance:
         if not out:
             raise ValueError("empty clause")
         self._lits.extend(out)
-        self._lits.append(0)
+        self._ends.append(len(self._lits))
         self.clause_count += 1
         return True
 
     def iter_clauses(self) -> Iterator[tuple[int, ...]]:
-        start = 0
-        lits = self._lits
-        for i, lit in enumerate(lits):
-            if lit == 0:
-                yield tuple(lits[start:i])
-                start = i + 1
+        lits, start = self._lits, 0
+        for end in self._ends:
+            yield tuple(lits[start:end])
+            start = end
 
     @property
     def clauses(self) -> list[tuple[int, ...]]:
@@ -189,6 +192,24 @@ class CnfInstance:
 @dataclass(frozen=True)
 class EncodeOptions:
     symmetry: bool = True
+
+
+_BASES: dict[int, tuple[array, array, int, int, dict]] = {}
+
+
+def _cache_base(n: int) -> tuple[array, array, int, int, dict]:
+    """(literals, clause ends, num_vars, clause_count, VarMap.aux) of the
+    exactly-one, lattice-law and residuation clauses every task of size n
+    starts with, encoded on first use; callers copy them, never alias."""
+    if n not in _BASES:
+        enc = _Encoder(SearchTask(n), EncodeOptions())
+        enc._exactly_one_cells()
+        for ident in LATTICE_IDENTITIES:
+            enc._assert_identity(ident)
+        enc._residuation()
+        cnf = enc.cnf
+        _BASES[n] = (cnf._lits, cnf._ends, cnf.num_vars, cnf.clause_count, enc.varmap.aux)
+    return _BASES[n]
 
 
 class _Encoder:
@@ -201,10 +222,9 @@ class _Encoder:
         self.cnf.varmap = self.varmap
 
     def build(self) -> CnfInstance:
-        self._exactly_one_cells()
-        for ident in LATTICE_IDENTITIES:
-            self._assert_identity(ident)
-        self._residuation()
+        lits, ends, self.cnf.num_vars, self.cnf.clause_count, aux = _cache_base(self.n)
+        self.cnf._lits, self.cnf._ends = lits[:], ends[:]
+        self.varmap.aux = dict(aux)
         for name in sorted(self.task.assume):
             self._assert_identity(builtin(name))
         if self.task.refute is not None:

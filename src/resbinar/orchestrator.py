@@ -222,7 +222,8 @@ def persist_result(result: SearchResult, directory: str | Path) -> None:
 
 def load_results(directory: str | Path) -> list[SearchResult]:
     """The last record of each task in the result file, in the order the
-    tasks first appear; a trailing partial line is tolerated."""
+    tasks first appear; a bad line is corrupt unless, lacking its newline,
+    it is a last write cut short, which is skipped."""
     path = Path(directory) / RESULTS_NAME
     if not path.exists():
         return []
@@ -230,13 +231,12 @@ def load_results(directory: str | Path) -> list[SearchResult]:
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
     for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
         try:
             result = SearchResult.from_record(json.loads(line))
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            if i == len(lines) - 1:
+            if not line.endswith("\n"):  # only the last line can lack it
                 warnings.warn(f"dropping partial trailing result line: {exc}")
                 continue
             raise OSError(f"corrupt result line {i + 1} in {path}: {exc}") from None
@@ -247,19 +247,20 @@ def load_results(directory: str | Path) -> list[SearchResult]:
 def _end_last_line(path: Path) -> None:
     """Make the result file safe to append to after a write was cut short.
 
-    A last line that holds no whole record is cut away, as load_results
-    has already dropped it; a whole last record without its newline gets one.
+    A last line without its newline is cut away when it holds no whole
+    record, as load_results has already dropped it, and otherwise gets one.
     """
     data = path.read_bytes()
-    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    if not data or data.endswith(b"\n"):
+        return
+    start = data.rfind(b"\n") + 1
     try:
         SearchResult.from_record(json.loads(data[start:]))
     except (KeyError, ValueError):
         os.truncate(path, start)
         return
-    if not data.endswith(b"\n"):
-        with open(path, "ab") as handle:
-            handle.write(b"\n")
+    with open(path, "ab") as handle:
+        handle.write(b"\n")
 
 
 # --- execution -----------------------------------------------------------------

@@ -54,15 +54,59 @@ class SolveResult:
 
 
 def check_assignment(cnf: CnfInstance, assignment: tuple[bool, ...]) -> bool:
-    """True when every clause has a true literal under the assignment."""
+    """True when every clause has a true literal under the assignment; a
+    variable beyond the end of the assignment makes no literal true."""
+    size = max(cnf.num_vars, len(assignment))
+    true = bytearray(2 * size + 1)  # indexed by literal, as in solve_builtin
+    true[1:len(assignment) + 1] = bytes(assignment)
+    true[2 * size + 1 - len(assignment):] = bytes(not a for a in reversed(assignment))
     for clause in cnf.iter_clauses():
         for lit in clause:
-            var = lit if lit > 0 else -lit
-            if var <= len(assignment) and assignment[var - 1] == (lit > 0):
+            if true[lit]:
                 break
         else:
             return False
     return True
+
+
+def _propagate(trail: list[int], qhead: int, value: bytearray,
+               watches: list[list[int]], clauses: list[list[int]]) -> tuple[int, bool]:
+    """Unit-propagate the literals trail[qhead:]; returns the new queue head
+    and False on a conflict.  A clause is watched by its first two literals;
+    each watch list is compacted in place, in order."""
+    while qhead < len(trail):
+        falsified = -trail[qhead]
+        qhead += 1
+        ws = watches[falsified]
+        kept = i = 0
+        for ci in ws:
+            i += 1
+            clause = clauses[ci]
+            first = clause[0]
+            if first == falsified:
+                first = clause[0] = clause[1]
+                clause[1] = falsified
+            if value[first]:
+                ws[kept] = ci
+                kept += 1
+                continue
+            for k in range(2, len(clause)):
+                other = clause[k]
+                if not value[-other]:
+                    clause[1] = other
+                    clause[k] = falsified
+                    watches[other].append(ci)
+                    break
+            else:
+                ws[kept] = ci
+                kept += 1
+                if value[-first]:
+                    del ws[kept:i]
+                    return qhead, False
+                value[first] = 1
+                trail.append(first)
+        del ws[kept:]
+    return qhead, True
 
 
 def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveResult:
@@ -70,15 +114,18 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
 
     Branching is activity-free: lowest-numbered unassigned variable, True
     first.  With the encoder's variable layout that walks the meet table
-    first, which keeps the derived order decided early.
+    first, which keeps the derived order decided early.  Values and watch
+    lists are indexed by literal (Een & Sorensson, SAT 2003): in a list of
+    length 2*nvars+1, literal -v sits at Python index -v, in the upper half.
+    value[lit] is 1 when lit is true and 0 when it is false or unassigned.
     """
     start = time.monotonic()
     max_decisions = budget.max_decisions if budget else None
     nvars = cnf.num_vars
 
-    clauses: list[list[int]] = [list(c) for c in cnf.iter_clauses()]
+    clauses: list[list[int]] = []
     watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
-    val = bytearray(nvars + 1)  # 0 unassigned, 1 true, 2 false
+    value = bytearray(2 * nvars + 1)
     trail: list[int] = []
     decisions = 0
     propagations = 0
@@ -90,70 +137,26 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
             "seconds": time.monotonic() - start,
         }
 
-    def lit_true(lit: int) -> bool:
-        return val[lit] == 1 if lit > 0 else val[-lit] == 2
-
-    def lit_false(lit: int) -> bool:
-        return val[lit] == 2 if lit > 0 else val[-lit] == 1
-
-    def assign(lit: int) -> None:
-        val[abs(lit)] = 1 if lit > 0 else 2
-        trail.append(lit)
-
-    for ci, clause in enumerate(clauses):
+    for clause in cnf.iter_clauses():
         if len(clause) == 1:
             lit = clause[0]
-            if lit_false(lit):
+            if value[-lit]:
                 return SolveResult(UNSAT, stats=stats())
-            if not lit_true(lit):
-                assign(lit)
+            if not value[lit]:
+                value[lit] = 1
+                trail.append(lit)
         else:
-            watches[nvars + clause[0]].append(ci)
-            watches[nvars + clause[1]].append(ci)
+            ci = len(clauses)  # one int object shared by both watches
+            watches[clause[0]].append(ci)
+            watches[clause[1]].append(ci)
+            clauses.append(list(clause))
 
-    qhead = 0
-
-    def propagate() -> bool:
-        """Exhaust unit propagation; False on conflict."""
-        nonlocal qhead, propagations
-        while qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            propagations += 1
-            falsified = -lit
-            ws = watches[nvars + falsified]
-            kept = []
-            i = 0
-            while i < len(ws):
-                ci = ws[i]
-                i += 1
-                clause = clauses[ci]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                first = clause[0]
-                if lit_true(first):
-                    kept.append(ci)
-                    continue
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    if not lit_false(other):
-                        clause[1], clause[k] = other, clause[1]
-                        watches[nvars + other].append(ci)
-                        break
-                else:
-                    kept.append(ci)
-                    if lit_false(first):
-                        kept.extend(ws[i:])
-                        watches[nvars + falsified] = kept
-                        return False
-                    assign(first)
-            watches[nvars + falsified] = kept
-        return True
-
-    if not propagate():
+    qhead, ok = _propagate(trail, 0, value, watches, clauses)
+    propagations = qhead
+    if not ok:
         return SolveResult(UNSAT, stats=stats())
 
-    # decision stack entries: (trail length at decision, qhead, var, flipped)
+    # decision stack entries: [trail length at decision, var, flipped]
     stack: list[list[int]] = []
     scan_from = 1
 
@@ -161,36 +164,38 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
         if max_decisions is not None and decisions > max_decisions:
             return SolveResult(UNKNOWN, stats=stats(), reason="decision budget exceeded")
         var = scan_from
-        while var <= nvars and val[var]:
+        while var <= nvars and (value[var] or value[-var]):
             var += 1
         scan_from = var
         if var > nvars:
-            assignment = tuple(val[v] == 1 for v in range(1, nvars + 1))
+            assignment = tuple(map(bool, value[1:nvars + 1]))
             if not check_assignment(cnf, assignment):
                 raise OutputParseError("bundled DPLL produced a non-satisfying assignment")
             return SolveResult(SAT, assignment=assignment, stats=stats())
         decisions += 1
         stack.append([len(trail), var, 0])
-        assign(var)
-        while not propagate():
+        value[var] = 1
+        trail.append(var)
+        while True:
+            head, ok = _propagate(trail, qhead, value, watches, clauses)
+            propagations += head - qhead
+            qhead = head
+            if ok:
+                break
+            # undo up to the deepest decision not yet flipped, and flip it;
+            # every variable below a decision was assigned before it
             while stack and stack[-1][2]:
-                mark, dvar, _ = stack.pop()
-                for lit in trail[mark:]:
-                    val[abs(lit)] = 0
-                del trail[mark:]
-                if dvar < scan_from:
-                    scan_from = dvar
+                stack.pop()
             if not stack:
                 return SolveResult(UNSAT, stats=stats())
             mark, dvar, _ = stack[-1]
-            for lit in trail[mark:]:
-                val[abs(lit)] = 0
-            del trail[mark:]
-            qhead = mark
             stack[-1][2] = 1
-            if dvar < scan_from:
-                scan_from = dvar
-            assign(-dvar)
+            for lit in trail[mark:]:
+                value[lit] = 0
+            del trail[mark:]
+            qhead, scan_from = mark, dvar
+            value[-dvar] = 1
+            trail.append(-dvar)
 
 
 def _pad_assignment(pairs: Mapping[int, bool], nvars: int) -> tuple[bool, ...]:

@@ -270,6 +270,17 @@ def test_report_rejects_a_corrupt_result_file(tmp_path, capsys):
     assert not report_dir.exists()
 
 
+def test_report_rejects_a_whole_bad_last_line(tmp_path, capsys):
+    # a line with its newline was written in full: it is corrupt, not cut short
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results.jsonl").write_text('{"status": "SAT"}\n')
+    report_dir = tmp_path / "report"
+    assert main(["report", "--in", str(results), "--out", str(report_dir)]) == 1
+    assert capsys.readouterr().err.startswith("ERROR: corrupt result line 1")
+    assert not report_dir.exists()
+
+
 def test_grid_rejects_bad_config(tmp_path, capsys):
     assert main(["grid", "--targets", "D9", "--max-size", "2"]) == 2
     for timeout in ("0", "-1"):

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import resbinar.encoder
 from resbinar.algebra import check_lattice, check_residuation, check_identity
 from resbinar.encoder import (
     CnfInstance,
@@ -65,6 +66,11 @@ def test_from_clauses():
     cnf = CnfInstance.from_clauses(2, [(1, 2), (-1,)])
     assert cnf.clauses == [(1, 2), (-1,)]
     assert cnf.num_vars == 2
+    # duplicate literals go, tautologies are dropped, a 1-literal clause stays
+    cnf = CnfInstance.from_clauses(4, [(1, 2, 1), (3, -3), (-4,), (2, -1, 4, 2), (1, -1, 2)])
+    assert list(cnf.iter_clauses()) == [(1, 2), (-4,), (2, -1, 4)]
+    assert cnf.clause_count == 3
+    assert list(CnfInstance(2).iter_clauses()) == []
 
 
 def test_dimacs_bytes_minimal(tmp_path):
@@ -240,3 +246,34 @@ def test_every_identity_encodes_byte_for_byte_as_pinned(tmp_path):
         cnf = encode_search(task, EncodeOptions(symmetry=symmetry))
         digests[label] = hashlib.sha256(dimacs_bytes(cnf, tmp_path)).hexdigest()
     assert digests == ENCODING_DIGESTS
+
+
+def test_cached_base_encodes_like_a_cold_one(tmp_path, monkeypatch):
+    tasks = [
+        (SearchTask(3), True),
+        (SearchTask.make(3, assume=("LD", "D1"), refute="D3"), False),
+        (SearchTask.make(4, refute="D2"), True),
+        (SearchTask.make(3, refute="LD"), True),
+        (SearchTask.make(4, assume=("D5", "LD")), False),
+    ]
+    cold = []
+    for task, symmetry in tasks:
+        monkeypatch.setattr(resbinar.encoder, "_BASES", {})
+        cold.append(dimacs_bytes(encode_search(task, EncodeOptions(symmetry)), tmp_path))
+    for order in (range(len(tasks)), reversed(range(len(tasks)))):
+        monkeypatch.setattr(resbinar.encoder, "_BASES", {})
+        for i in order:
+            task, symmetry = tasks[i]
+            assert dimacs_bytes(encode_search(task, EncodeOptions(symmetry)), tmp_path) == cold[i]
+
+
+def test_changing_an_encoding_leaves_the_cached_base_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(resbinar.encoder, "_BASES", {})
+    task = SearchTask.make(3, assume=("D1",), refute="D2")
+    # the first encoding of a size is the one that fills the cache
+    cnf = encode_search(task)
+    before = dimacs_bytes(cnf, tmp_path)
+    var = cnf.new_var()
+    cnf.add_clause((var, -1))
+    cnf.varmap.aux[("mult", 0, 0)] = (var,) * 3
+    assert dimacs_bytes(encode_search(task), tmp_path) == before

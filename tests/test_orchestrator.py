@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import multiprocessing
+import time
 import warnings
 
 import pytest
@@ -263,13 +264,15 @@ def test_run_grid_resumes_after_a_record_cut_in_half(tmp_path):
     path.write_text(path.read_text().rstrip("\n"))
     assert [r.status for r in run_grid(tasks, config).results] == ["UNSAT", "UNSAT"]
     assert path.read_text().count("\n") == 2
-    # a broken last line that did get its newline is cut away as well
+    # a broken last line that did get its newline is no cut write: it is
+    # corrupt, and the file is left as it is
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"task": {"size"\n')
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run_grid(tasks, config).ok
-    assert [r.status for r in load_results(tmp_path)] == ["UNSAT", "UNSAT"]
+    broken = path.read_bytes()
+    outcome = run_grid(tasks, config)
+    assert not outcome.ok
+    assert outcome.errors[0].startswith("corrupt result line 3 ")
+    assert path.read_bytes() == broken
 
 
 def test_run_grid_parallel_workers(tmp_path):
@@ -307,6 +310,21 @@ def test_run_grid_timeout_returns_unknown(tmp_path):
     assert len(outcome.results) == 1
     assert outcome.results[0].status == "UNKNOWN"
     assert "timeout" in outcome.results[0].reason
+
+
+def test_run_grid_timeout_bounds_a_large_encoding(tmp_path):
+    # encoding the base clauses at n = 10 alone takes seconds: the timeout
+    # must cover it, so the grid ends soon after the timeout of each task
+    config = GridConfig(
+        targets=("D1", "D5"), policy="all-others", ld="omit",
+        min_size=10, max_size=10, timeout=0.2, solver="builtin",
+        out_dir=tmp_path,
+    )
+    start = time.monotonic()
+    outcome = run_grid(build_grid(config), config)
+    assert time.monotonic() - start < 1.5
+    assert [r.reason for r in load_results(tmp_path)] == ["timeout after 0.2s"] * 2
+    assert [r.status for r in outcome.results] == ["UNKNOWN"] * 2
 
 
 def test_run_grid_timeout_kills_the_external_solver(tmp_path):

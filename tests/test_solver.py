@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import stat
@@ -5,7 +6,7 @@ import stat
 import pytest
 
 import resbinar.solver
-from resbinar.encoder import CnfInstance, SearchTask, encode_search
+from resbinar.encoder import CnfInstance, EncodeOptions, SearchTask, encode_search
 from resbinar.solver import (
     DEFAULT_ENGINE,
     SAT,
@@ -22,6 +23,7 @@ from resbinar.solver import (
     solve_external,
     solve_pysat,
 )
+from resbinar.terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES
 
 from conftest import require_installed_package
 
@@ -59,6 +61,14 @@ def test_check_assignment():
     cnf = tiny_sat()
     assert check_assignment(cnf, (False, True))
     assert not check_assignment(cnf, (True, False))
+    # as on the external-solver path: a variable past the end of the
+    # assignment makes neither of its literals true
+    cnf = CnfInstance.from_clauses(4, [(1, 4), (2, -4)])
+    assert check_assignment(cnf, (True, True))
+    assert not check_assignment(cnf, (True, False))
+    assert not check_assignment(cnf, ())
+    assert check_assignment(cnf, (True, True, False, False, True))
+    assert not check_assignment(CnfInstance.from_clauses(3, [(-3,)]), (True,))
 
 
 def test_builtin_sat():
@@ -66,6 +76,7 @@ def test_builtin_sat():
     assert res.status == SAT
     assert res.assignment == (False, True)
     assert res.stats["decisions"] >= 0
+    assert 0 <= res.stats["seconds"] < 60
 
 
 def test_builtin_unsat():
@@ -95,6 +106,119 @@ def test_builtin_on_encoder_instance():
     cnf = encode_search(SearchTask(3))
     res = solve_builtin(cnf)
     assert res.status == SAT
+
+
+# (status, decisions, propagations, SHA-256 of the assignment's bytes) of
+# solve_builtin, recorded before the kernel moved to literal-indexed values
+# and in-place watch lists; any change to the search itself shows.
+SEARCH_PINS = {
+    ("assume D1", True): (
+        "SAT", 9, 378,
+        "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
+    ("assume D1", False): (
+        "SAT", 13, 400,
+        "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
+    ("refute D1", True): ("UNSAT", 37, 1659, None),
+    ("refute D1", False): ("UNSAT", 168, 12302, None),
+    ("assume D2", True): (
+        "SAT", 9, 378,
+        "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
+    ("assume D2", False): (
+        "SAT", 13, 400,
+        "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
+    ("refute D2", True): ("UNSAT", 37, 1663, None),
+    ("refute D2", False): ("UNSAT", 168, 12653, None),
+    ("assume D3", True): (
+        "SAT", 9, 378,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("assume D3", False): (
+        "SAT", 13, 400,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("refute D3", True): ("UNSAT", 37, 1951, None),
+    ("refute D3", False): ("UNSAT", 168, 13473, None),
+    ("assume D4", True): (
+        "SAT", 9, 378,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("assume D4", False): (
+        "SAT", 13, 400,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("refute D4", True): ("UNSAT", 37, 2298, None),
+    ("refute D4", False): ("UNSAT", 168, 14219, None),
+    ("assume D5", True): (
+        "SAT", 9, 378,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("assume D5", False): (
+        "SAT", 13, 400,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("refute D5", True): ("UNSAT", 37, 2000, None),
+    ("refute D5", False): ("UNSAT", 168, 13791, None),
+    ("assume D6", True): (
+        "SAT", 9, 378,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("assume D6", False): (
+        "SAT", 13, 400,
+        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
+    ("refute D6", True): ("UNSAT", 37, 2293, None),
+    ("refute D6", False): ("UNSAT", 168, 14720, None),
+    ("assume LD", True): (
+        "SAT", 9, 378,
+        "bec7eb3a7bef149b6d4b1abcfe55a896163993ff7dfba638277e91aa8f82164b"),
+    ("assume LD", False): (
+        "SAT", 13, 420,
+        "bec7eb3a7bef149b6d4b1abcfe55a896163993ff7dfba638277e91aa8f82164b"),
+    ("refute LD", True): ("UNSAT", 0, 351, None),
+    ("refute LD", False): ("UNSAT", 7, 1471, None),
+    ("others ⊢ D1", True): ("UNSAT", 33, 2872, None),
+    ("others ⊢ D1", False): ("UNSAT", 162, 23462, None),
+    ("others ⊢ D2", True): ("UNSAT", 33, 2982, None),
+    ("others ⊢ D2", False): ("UNSAT", 162, 23751, None),
+    ("others ⊢ D3", True): ("UNSAT", 33, 3530, None),
+    ("others ⊢ D3", False): ("UNSAT", 162, 25665, None),
+    ("others ⊢ D4", True): ("UNSAT", 33, 3672, None),
+    ("others ⊢ D4", False): ("UNSAT", 162, 25750, None),
+    ("others ⊢ D5", True): ("UNSAT", 37, 3936, None),
+    ("others ⊢ D5", False): ("UNSAT", 168, 26636, None),
+    ("others ⊢ D6", True): ("UNSAT", 33, 3704, None),
+    ("others ⊢ D6", False): ("UNSAT", 162, 26261, None),
+    ("n=4 LD,D1 ⊢ D3", True): (
+        "SAT", 16, 2685,
+        "0cbf7707b9f90f2bfea270fd6234af99e37a9980726e84bcb12eeab388166217"),
+    ("n=4 LD,D1 ⊢ D3", False): (
+        "SAT", 19, 2685,
+        "0cbf7707b9f90f2bfea270fd6234af99e37a9980726e84bcb12eeab388166217"),
+    ("n=4 base", True): (
+        "SAT", 10, 832,
+        "9b52cc463d984f9e4799e2f00576ee6bc08691d839468fd345155f3573f55ced"),
+    ("n=4 base", False): (
+        "SAT", 13, 832,
+        "9b52cc463d984f9e4799e2f00576ee6bc08691d839468fd345155f3573f55ced"),
+}
+
+
+def pinned_searches():
+    """Each identity assumed alone and refuted alone at n = 3, the
+    criterion-3 tasks at n = 3 and two tasks at n = 4, symmetry on and off."""
+    tasks = []
+    for name in IDENTITY_NAMES:
+        tasks.append((f"assume {name}", SearchTask.make(3, assume=(name,))))
+        tasks.append((f"refute {name}", SearchTask.make(3, refute=name)))
+    for target in DISTRIBUTIVITY_NAMES:
+        others = [d for d in DISTRIBUTIVITY_NAMES if d != target]
+        tasks.append((f"others ⊢ {target}", SearchTask.make(3, assume=others, refute=target)))
+    tasks.append(("n=4 LD,D1 ⊢ D3", SearchTask.make(4, assume=("LD", "D1"), refute="D3")))
+    tasks.append(("n=4 base", SearchTask(4)))
+    for label, task in tasks:
+        for symmetry in (True, False):
+            yield (label, symmetry), encode_search(task, EncodeOptions(symmetry=symmetry))
+
+
+def test_builtin_search_is_pinned():
+    found = {}
+    for key, cnf in pinned_searches():
+        res = solve_builtin(cnf)
+        digest = None if res.assignment is None else hashlib.sha256(bytes(res.assignment)).hexdigest()
+        found[key] = (res.status, res.stats["decisions"], res.stats["propagations"], digest)
+    assert found == SEARCH_PINS
 
 
 def test_pysat_sat_unsat():
