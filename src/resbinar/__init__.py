@@ -7,7 +7,6 @@ independently (`algebra`, `oracle`), run experiment grids in parallel
 """
 
 from .algebra import (
-    CounterAssignment,
     FiniteBinar,
     NotResiduated,
     OrderInconsistent,
@@ -23,6 +22,7 @@ from .algebra import (
     covering_relation,
     derive_order,
     derive_residuals,
+    lattice_tables,
     load_model,
     order_from_tables,
     save_model,
@@ -43,7 +43,6 @@ from .encoder import (
 )
 from .oracle import (
     BoundExceeded,
-    LatticeCatalogue,
     count_models,
     enumerate_lattices,
     enumerate_residuated_binars,

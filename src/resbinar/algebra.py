@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .terms import (
     Identity,
@@ -33,11 +32,13 @@ Table = tuple[tuple[int, ...], ...]
 
 
 class OrderInconsistent(ValueError):
-    """Meet/join tables do not induce a single partial order."""
+    """Meet/join tables do not induce a single partial order, or an order
+    is not a lattice; `pair` is the failing pair, when there is one."""
 
-    def __init__(self, x: int, y: int, reason: str):
-        self.pair = (x, y)
-        super().__init__(f"order inconsistent at ({x},{y}): {reason}")
+    def __init__(self, x: int | None, y: int | None, reason: str):
+        self.pair = None if x is None else (x, y)
+        where = "" if x is None else f" at ({x},{y})"
+        super().__init__(f"order inconsistent{where}: {reason}")
 
 
 class NotResiduated(ValueError):
@@ -107,7 +108,8 @@ class OrderRelation:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed instance of a named axiom."""
+    """One failed instance of a named axiom or identity: the assignment and
+    both side values."""
 
     axiom: str
     env: tuple[tuple[str, int], ...]
@@ -126,16 +128,6 @@ class VerificationReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-@dataclass(frozen=True)
-class CounterAssignment:
-    """Witness that an identity fails: the assignment and both side values."""
-
-    identity: str
-    env: tuple[tuple[str, int], ...]
-    lhs: int
-    rhs: int
 
 
 # --- order -------------------------------------------------------------------
@@ -184,22 +176,28 @@ def covering_relation(order: OrderRelation) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-@lru_cache(maxsize=128)
-def _join_table_of_order(order: OrderRelation) -> Table:
-    """Least upper bounds recovered from a lattice order."""
-    n = order.size
-    leq = order.leq
-    rows = []
-    for x in range(n):
-        row = []
-        for y in range(n):
-            ubs = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            least = [u for u in ubs if all(leq[u][w] for w in ubs)]
-            if len(least) != 1:
-                raise OrderInconsistent(x, y, "no least upper bound")
-            row.append(least[0])
-        rows.append(tuple(row))
-    return tuple(rows)
+def lattice_tables(leq) -> tuple[Table, Table] | None:
+    """Meet and join tables of the partial order given by a boolean matrix,
+    or None when some pair has no greatest lower or no least upper bound."""
+    n = len(leq)
+    tables = []
+    # the meet is the join of the reversed order
+    for above in (tuple(zip(*leq)), leq):
+        ups = [[z for z in range(n) if above[x][z]] for x in range(n)]
+        rows = []
+        for x in range(n):
+            row = []
+            for y in range(n):
+                # the common bounds form an up-set, so its least element is
+                # the bound whose own up-set is all of it
+                bounds = [z for z in ups[x] if above[y][z]]
+                least = next((u for u in bounds if len(ups[u]) == len(bounds)), None)
+                if least is None:
+                    return None
+                row.append(least)
+            rows.append(tuple(row))
+        tables.append(tuple(rows))
+    return tables[0], tables[1]
 
 
 # --- evaluation and identity checking ----------------------------------------
@@ -215,47 +213,30 @@ def _compile_term(t: Term, slot: dict[str, int], tables: dict[str, Table]):
     return lambda tup: table[left(tup)][right(tup)]
 
 
-def check_identity(b: FiniteBinar, ident: Identity) -> CounterAssignment | None:
+def _violations(b: FiniteBinar, ident: Identity) -> Iterator[Violation]:
+    """Every violating assignment, in lexicographic tuple order."""
+    names = identity_variables(ident)
+    slot = {name: i for i, name in enumerate(names)}
+    tables = b.ops()
+    lhs = _compile_term(ident.lhs, slot, tables)
+    rhs = _compile_term(ident.rhs, slot, tables)
+    for tup in itertools.product(range(b.size), repeat=len(names)):
+        lv = lhs(tup)
+        rv = rhs(tup)
+        if lv != rv:
+            yield Violation(ident.name, tuple(zip(names, tup)), lv, rv)
+
+
+def check_identity(b: FiniteBinar, ident: Identity) -> Violation | None:
     """First violating assignment in lexicographic tuple order, or None."""
-    names = identity_variables(ident)
-    slot = {name: i for i, name in enumerate(names)}
-    tables = b.ops()
-    lhs = _compile_term(ident.lhs, slot, tables)
-    rhs = _compile_term(ident.rhs, slot, tables)
-    for tup in itertools.product(range(b.size), repeat=len(names)):
-        lv = lhs(tup)
-        rv = rhs(tup)
-        if lv != rv:
-            return CounterAssignment(
-                identity=ident.name,
-                env=tuple(zip(names, tup)),
-                lhs=lv,
-                rhs=rv,
-            )
-    return None
-
-
-def _identity_violations(b: FiniteBinar, ident: Identity) -> list[Violation]:
-    names = identity_variables(ident)
-    slot = {name: i for i, name in enumerate(names)}
-    tables = b.ops()
-    lhs = _compile_term(ident.lhs, slot, tables)
-    rhs = _compile_term(ident.rhs, slot, tables)
-    out = []
-    for tup in itertools.product(range(b.size), repeat=len(names)):
-        lv = lhs(tup)
-        rv = rhs(tup)
-        if lv != rv:
-            out.append(Violation(ident.name, tuple(zip(names, tup)), lv, rv))
-    return out
+    return next(_violations(b, ident), None)
 
 
 def check_lattice(b: FiniteBinar) -> VerificationReport:
     """All eight lattice equations over all tuples."""
-    violations: list[Violation] = []
-    for ident in LATTICE_IDENTITIES:
-        violations.extend(_identity_violations(b, ident))
-    return VerificationReport(tuple(violations))
+    return VerificationReport(tuple(
+        v for ident in LATTICE_IDENTITIES for v in _violations(b, ident)
+    ))
 
 
 def check_residuation(b: FiniteBinar) -> VerificationReport:
@@ -340,11 +321,14 @@ def derive_residuals(order: OrderRelation, mult: Table) -> tuple[Table, Table]:
 
     lres[x][z] is the residual of z along row x of mult, rres[z][y] along
     column y.  Raises NotResiduated naming the first failing cell, left
-    table first.
+    table first.  Raises OrderInconsistent if the order is not a lattice.
     """
     n = order.size
     leq = order.leq
-    join = _join_table_of_order(order)
+    tables = lattice_tables(leq)
+    if tables is None:
+        raise OrderInconsistent(None, None, "not a lattice")
+    join = tables[1]
     columns = tuple(zip(*mult))
 
     def residual(line, z: int, cell: tuple[int, int], side: str) -> int:

@@ -1,17 +1,17 @@
 """Exhaustive ground truth for small sizes, independent of the CNF encoding.
 
-Lattices are enumerated as up-set families over a numeric linear extension
-and then relabeled for the labeled catalogue.  Residuated binars are
-enumerated per lattice by choosing mult tables; residuals are derived from
-mult and the order, never enumerated, so a size-n search touches n^(n^2)
-tables per lattice instead of n^(3n^2).
+Lattices are enumerated as the partial orders refined by the numeric order
+0 < 1 < ... < n-1, kept where `algebra.lattice_tables` finds every meet and
+join, and then relabeled for the labeled catalogue.  Residuated binars are
+enumerated exhaustively, for n <= EXHAUSTIVE_BOUND, per lattice by choosing
+mult tables; residuals are derived from mult and the order, never
+enumerated, so a size-n search touches n^(n^2) tables per lattice instead
+of n^(3n^2).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .algebra import (
@@ -20,6 +20,7 @@ from .algebra import (
     _residual,
     check_identity,
     derive_residuals,
+    lattice_tables,
     order_from_tables,
     table_isomorphism,
 )
@@ -30,26 +31,10 @@ if TYPE_CHECKING:
 
 LATTICE_BOUND = 6
 EXHAUSTIVE_BOUND = 3
-SAMPLED_BOUND = 4
 
 
 class BoundExceeded(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LatticeCatalogue:
-    """All (meet, join) table pairs of one size, labeled or up to iso."""
-
-    size: int
-    entries: tuple[tuple[Table, Table], ...]
-    up_to_iso: bool
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[Table, Table]]:
-        return iter(self.entries)
 
 
 def _natural_orders(n: int) -> Iterator[tuple[int, ...]]:
@@ -82,49 +67,6 @@ def _natural_orders(n: int) -> Iterator[tuple[int, ...]]:
     yield from place(n - 1)
 
 
-def _lattice_tables(n: int, ups: tuple[int, ...]) -> tuple[Table, Table] | None:
-    """Meet/join tables if every pair has bounds, else None."""
-    up = [ups[i] | (1 << i) for i in range(n)]
-    down = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if up[x] >> y & 1:
-                down[y] |= 1 << x
-    meet_rows = []
-    join_rows = []
-    for x in range(n):
-        mrow = []
-        jrow = []
-        for y in range(n):
-            common = down[x] & down[y]
-            glb = -1
-            rest = common
-            while rest:
-                m = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if common & ~down[m] == 0:
-                    glb = m
-                    break
-            if glb < 0:
-                return None
-            mrow.append(glb)
-            common = up[x] & up[y]
-            lub = -1
-            rest = common
-            while rest:
-                m = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if common & ~up[m] == 0:
-                    lub = m
-                    break
-            if lub < 0:
-                return None
-            jrow.append(lub)
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
-    return tuple(meet_rows), tuple(join_rows)
-
-
 def _permute_table(table: Table, perm: tuple[int, ...]) -> Table:
     n = len(table)
     inv = [0] * n
@@ -135,13 +77,18 @@ def _permute_table(table: Table, perm: tuple[int, ...]) -> Table:
     )
 
 
-def enumerate_lattices(n: int, up_to_iso: bool = False) -> LatticeCatalogue:
-    """Every lattice on {0..n-1}; labeled by default, one per class if asked."""
+def enumerate_lattices(
+    n: int, up_to_iso: bool = False
+) -> tuple[tuple[Table, Table], ...]:
+    """The sorted (meet, join) pairs of every lattice on {0..n-1}; labeled
+    by default, one per isomorphism class if asked."""
     if not 1 <= n <= LATTICE_BOUND:
         raise BoundExceeded(f"lattice enumeration supports 1 <= n <= {LATTICE_BOUND}")
+    # the leq row of x is the bitmask of its up-set, x included
+    rows = [tuple(bool(mask >> y & 1) for y in range(n)) for mask in range(1 << n)]
     natural = []
     for ups in _natural_orders(n):
-        tables = _lattice_tables(n, ups)
+        tables = lattice_tables(tuple(rows[ups[x] | 1 << x] for x in range(n)))
         if tables is not None:
             natural.append(tables)
     if up_to_iso:
@@ -153,12 +100,12 @@ def enumerate_lattices(n: int, up_to_iso: bool = False) -> LatticeCatalogue:
                 for m, j in reps
             ):
                 reps.append((meet, join))
-        return LatticeCatalogue(n, tuple(sorted(reps)), True)
+        return tuple(sorted(reps))
     labeled = set()
     for meet, join in natural:
         for perm in itertools.permutations(range(n)):
             labeled.add((_permute_table(meet, perm), _permute_table(join, perm)))
-    return LatticeCatalogue(n, tuple(sorted(labeled)), False)
+    return tuple(sorted(labeled))
 
 
 def _residuable_lines(n: int, leq: tuple[tuple[bool, ...], ...], join: Table):
@@ -172,32 +119,13 @@ def _residuable_lines(n: int, leq: tuple[tuple[bool, ...], ...], join: Table):
     ]
 
 
-def enumerate_residuated_binars(
-    n: int, *, sample: int | None = None, seed: int = 0
-) -> Iterator[FiniteBinar]:
-    """All residuated binars on {0..n-1}, or a random sample of draws.
-
-    Exhaustive mode covers n <= 3.  With sample=k, k random (lattice, mult)
-    draws are tested and the residuated ones emitted; that mode reaches n=4
-    but proves nothing about exhaustion.
-    """
-    if n < 1:
-        raise BoundExceeded("size must be positive")
-    if sample is None:
-        if n > EXHAUSTIVE_BOUND:
-            raise BoundExceeded(
-                f"exhaustive enumeration supports n <= {EXHAUSTIVE_BOUND}; "
-                "pass sample= for larger sizes"
-            )
-        yield from _exhaustive(n)
-        return
-    if n > SAMPLED_BOUND:
-        raise BoundExceeded(f"sampled enumeration supports n <= {SAMPLED_BOUND}")
-    yield from _sampled(n, sample, seed)
-
-
-def _exhaustive(n: int) -> Iterator[FiniteBinar]:
-    for meet, join in enumerate_lattices(n).entries:
+def enumerate_residuated_binars(n: int) -> Iterator[FiniteBinar]:
+    """All residuated binars on {0..n-1}, for 1 <= n <= EXHAUSTIVE_BOUND."""
+    if not 1 <= n <= EXHAUSTIVE_BOUND:
+        raise BoundExceeded(
+            f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_BOUND}"
+        )
+    for meet, join in enumerate_lattices(n):
         order = order_from_tables(meet, join)
         leq = order.leq
         rows = _residuable_lines(n, leq, join)
@@ -211,31 +139,6 @@ def _exhaustive(n: int) -> Iterator[FiniteBinar]:
             mult = tuple(choice)
             lres, rres = derive_residuals(order, mult)
             yield FiniteBinar(n, meet, join, mult, lres, rres)
-
-
-def _sampled(n: int, sample: int, seed: int) -> Iterator[FiniteBinar]:
-    # Uniform random tables essentially never satisfy residuation beyond
-    # n=3, so draw rows from the residuable-line pool and keep the draws
-    # whose columns are residuable too.  Duplicates are possible.
-    rng = random.Random(seed)
-    catalogue = enumerate_lattices(n).entries
-    orders = [order_from_tables(m, j) for m, j in catalogue]
-    lines = [
-        _residuable_lines(n, order.leq, join)
-        for order, (_, join) in zip(orders, catalogue)
-    ]
-    line_sets = [set(rows) for rows in lines]
-    for _ in range(sample):
-        k = rng.randrange(len(catalogue))
-        meet, join = catalogue[k]
-        mult = tuple(rng.choice(lines[k]) for _ in range(n))
-        if any(
-            tuple(mult[x][y] for x in range(n)) not in line_sets[k]
-            for y in range(n)
-        ):
-            continue
-        lres, rres = derive_residuals(orders[k], mult)
-        yield FiniteBinar(n, meet, join, mult, lres, rres)
 
 
 # --- task answering -----------------------------------------------------------

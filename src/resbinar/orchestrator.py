@@ -156,21 +156,29 @@ class SearchResult:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "SearchResult":
-        spec = record["task"]
-        task = SearchTask(
-            int(spec["size"]), frozenset(spec["assume"]), spec.get("refute")
-        )
-        model = record.get("model")
-        return cls(
-            task=task,
-            ld=spec.get("ld", "omit"),
-            expect_unsat=bool(spec.get("expect_unsat", False)),
-            status=record["status"],
-            model=None if model is None else binar_from_dict(model),
-            seconds=float(record.get("seconds", 0.0)),
-            solver=record.get("solver", "?"),
-            reason=record.get("reason"),
-        )
+        """The result a parsed JSONL line holds; ValueError if it holds none."""
+        try:
+            spec = record["task"]
+            task = SearchTask(
+                int(spec["size"]), frozenset(spec["assume"]), spec.get("refute")
+            )
+            status = record["status"]
+            model = record.get("model")
+            if status not in (SAT, UNSAT, UNKNOWN) or (status == SAT) != (model is not None):
+                has = "with" if model is not None else "without"
+                raise ValueError(f"status {status!r} {has} a model")
+            return cls(
+                task=task,
+                ld=spec.get("ld", "omit"),
+                expect_unsat=bool(spec.get("expect_unsat", False)),
+                status=status,
+                model=None if model is None else binar_from_dict(model),
+                seconds=float(record.get("seconds", 0.0)),
+                solver=record.get("solver", "?"),
+                reason=record.get("reason"),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a result record: {exc!r}") from None
 
 
 @dataclass

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from resbinar.algebra import (
-    CounterAssignment,
     FiniteBinar,
     NotResiduated,
     OrderInconsistent,
+    OrderRelation,
     SizeMismatch,
     UnknownOp,
+    Violation,
     are_isomorphic,
     binar_from_dict,
     binar_to_dict,
@@ -19,6 +20,7 @@ from resbinar.algebra import (
     covering_relation,
     derive_order,
     derive_residuals,
+    lattice_tables,
     load_model,
     order_from_tables,
     save_model,
@@ -26,7 +28,13 @@ from resbinar.algebra import (
 )
 from resbinar.terms import builtin
 
-from conftest import M3_LEQ, chain_tables, lattice_tables_from_leq, make_binar
+from conftest import (
+    M3_LEQ,
+    chain_tables,
+    lattice_tables_from_leq,
+    leq_from_pairs,
+    make_binar,
+)
 
 
 def test_derive_order_two_chain(two_chain_min):
@@ -90,7 +98,7 @@ def test_check_residuation_flags_bad_mult():
 
 def test_check_identity_ld_fails_on_m3(m3_zero):
     hit = check_identity(m3_zero, builtin("LD"))
-    assert isinstance(hit, CounterAssignment)
+    assert isinstance(hit, Violation) and hit.axiom == "LD"
     # lexicographically first counterexample
     assert hit.env == (("x", 1), ("y", 2), ("z", 3))
     assert (hit.lhs, hit.rhs) == (1, 0)
@@ -98,6 +106,29 @@ def test_check_identity_ld_fails_on_m3(m3_zero):
 
 def test_check_identity_ld_holds_on_chain(two_chain_min):
     assert check_identity(two_chain_min, builtin("LD")) is None
+
+
+def test_lattice_tables_match_the_reference_on_every_order():
+    # every order refined by 0 < 1 < ... < n-1, built from its strict pairs
+    # without the oracle's own order enumerator
+    for n in range(1, 6):
+        strict = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        for k in range(len(strict) + 1):
+            for pairs in itertools.combinations(strict, k):
+                leq = leq_from_pairs(n, pairs)
+                try:
+                    meet, join = lattice_tables_from_leq(leq)
+                except AssertionError:
+                    assert lattice_tables(leq) is None, (n, pairs)
+                    continue
+                want = (tuple(map(tuple, meet)), tuple(map(tuple, join)))
+                assert lattice_tables(leq) == want, (n, pairs)
+
+
+def test_derive_residuals_rejects_an_order_that_is_no_lattice():
+    antichain = OrderRelation(2, ((True, False), (False, True)))
+    with pytest.raises(OrderInconsistent):
+        derive_residuals(antichain, ((0, 0), (0, 0)))
 
 
 def test_derive_residuals_two_chain_min():

@@ -281,6 +281,22 @@ def test_report_rejects_a_whole_bad_last_line(tmp_path, capsys):
     assert not report_dir.exists()
 
 
+@pytest.mark.parametrize("line", [
+    "5",
+    '{"task": {"size": null, "assume": [], "refute": null}, "status": "UNSAT"}',
+    '{"task": {"size": 2, "assume": [], "refute": null}, "status": "DONE"}',
+    '{"task": {"size": 2, "assume": [], "refute": null}, "status": "SAT"}',
+], ids=["number", "null-size", "unknown-status", "sat-without-model"])
+def test_report_rejects_a_line_that_is_json_but_no_record(tmp_path, capsys, line):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results.jsonl").write_text(line + "\n")
+    report_dir = tmp_path / "report"
+    assert main(["report", "--in", str(results), "--out", str(report_dir)]) == 1
+    assert capsys.readouterr().err.startswith("ERROR: corrupt result line 1")
+    assert not report_dir.exists()
+
+
 def test_grid_rejects_bad_config(tmp_path, capsys):
     assert main(["grid", "--targets", "D9", "--max-size", "2"]) == 2
     for timeout in ("0", "-1"):

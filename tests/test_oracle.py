@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from resbinar.algebra import (
     are_isomorphic,
+    binar_to_dict,
     check_lattice,
     check_residuation,
     covering_relation,
@@ -110,17 +113,10 @@ def test_every_enumerated_binar_verifies():
         assert check_residuation(b).passed
 
 
-def test_exhaustive_bound_and_sampled_mode():
-    with pytest.raises(BoundExceeded):
-        list(enumerate_residuated_binars(EXHAUSTIVE_BOUND + 1))
-    sampled = list(enumerate_residuated_binars(4, sample=4000, seed=11))
-    assert sampled, "sampling found no residuated binars"
-    for b in sampled[:20]:
-        assert check_lattice(b).passed
-        assert check_residuation(b).passed
-    assert all(b.size == 4 for b in sampled)
-    with pytest.raises(BoundExceeded):
-        list(enumerate_residuated_binars(5, sample=10))
+def test_exhaustive_bound():
+    for n in (0, EXHAUSTIVE_BOUND + 1):
+        with pytest.raises(BoundExceeded):
+            list(enumerate_residuated_binars(n))
 
 
 def test_identity_profile_full_at_small_sizes():
@@ -154,7 +150,43 @@ def test_oracle_search_respects_bound():
 
 
 def test_catalogue_is_deterministic():
-    a = enumerate_lattices(4)
-    b = enumerate_lattices(4)
-    assert a.entries == b.entries
-    assert a.size == 4 and not a.up_to_iso
+    assert enumerate_lattices(4) == enumerate_lattices(4)
+
+
+# SHA-256 of the JSON of each enumeration, in the order it comes out: a
+# change to how lattices or binars are enumerated must leave them as they are.
+LATTICE_DIGESTS = {
+    1: "3cabb44f21b758fcd608b0a3cc848e5de615457fc5e77d156b7273acfd8b29e0",
+    2: "dae5459d91658e5884a655dffe9386c0f9994d200bf96fa34fe25fbb964dabd8",
+    3: "3cd2694d5869ad55390ca171b438934de39a87eebae3a67862c22c63c941a212",
+    4: "e07cb4d01127960a07b046a3413577643b2b5cd356e6e921512e5e606cd0e4e0",
+    5: "5633f8dbf649dc8d3d2c4216ea4c41d93792a19b38b389ee7e2119fb5d5cfbf7",
+}
+ISO_LATTICE_DIGESTS = {
+    1: "3cabb44f21b758fcd608b0a3cc848e5de615457fc5e77d156b7273acfd8b29e0",
+    2: "584066b119d390ec8a02e062f34aac289d98896143451bd3d74c6bac6d72d6c6",
+    3: "0fc464ceb418cffd3f6135832251bd167bce778fdf6469eb09997ea928477f94",
+    4: "d8f5a4ec6e554f3faab6fd6fe69b427defe791005019d4814c0877e986d5e373",
+    5: "8d6a006705f99fa5fc2dcb705448aefc99bd2eda73246a35fb452c6ce973e547",
+    6: "ec0eccdd3db00825c033522550dd0569f3d933a0ae2dee36ce58421540ca7e35",
+}
+BINAR_DIGESTS = {
+    1: "338df553e2f7b1742f5c48aad9926981b7379dc21bc434b8b16797ef2356cd38",
+    2: "d42911571d595fb245e715bc240dacb3fdfd8f453bbdebfcc281be821b695754",
+    3: "00f135aaffdc42d1135563c82c4d17825613c0a320672144a7094b6de50c1996",
+}
+
+
+def _digest(items):
+    return hashlib.sha256(json.dumps(list(items)).encode()).hexdigest()
+
+
+def test_every_enumeration_is_as_pinned():
+    assert {n: _digest(enumerate_lattices(n)) for n in LATTICE_DIGESTS} == LATTICE_DIGESTS
+    assert {
+        n: _digest(enumerate_lattices(n, up_to_iso=True)) for n in ISO_LATTICE_DIGESTS
+    } == ISO_LATTICE_DIGESTS
+    assert {
+        n: _digest(map(binar_to_dict, enumerate_residuated_binars(n)))
+        for n in BINAR_DIGESTS
+    } == BINAR_DIGESTS

@@ -275,6 +275,28 @@ def test_run_grid_resumes_after_a_record_cut_in_half(tmp_path):
     assert path.read_bytes() == broken
 
 
+@pytest.mark.parametrize("line", [
+    "5",
+    '{"task": {"size": null, "assume": [], "refute": null}, "status": "UNSAT"}',
+    '{"task": {"size": 2, "assume": [], "refute": null}, "status": "DONE"}',
+    '{"task": {"size": 2, "assume": [], "refute": null}, "status": "SAT"}',
+], ids=["number", "null-size", "unknown-status", "sat-without-model"])
+def test_run_grid_rejects_a_line_that_is_json_but_no_record(tmp_path, line):
+    path = tmp_path / "results.jsonl"
+    path.write_text(line + "\n")
+    config, tasks, outcome = grid_to_completion(tmp_path, max_size=2, solver="builtin")
+    assert not outcome.ok
+    assert outcome.errors[0].startswith("corrupt result line 1 ")
+    assert path.read_text() == line + "\n"
+    # without its newline the same line is a write cut short: it is cut away
+    path.write_text(line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        resumed = run_grid(tasks, config)
+    assert resumed.ok, resumed.errors
+    assert [r.status for r in load_results(tmp_path)] == ["UNSAT"]
+
+
 def test_run_grid_parallel_workers(tmp_path):
     config, tasks, outcome = grid_to_completion(
         tmp_path, targets=("D3", "D4"), workers=2, max_size=4
