@@ -21,7 +21,7 @@ from resbinar import (
 for size in range(2, 7):
     task = SearchTask.make(size, assume=("LD",), refute="D3")
     cnf = encode_search(task, EncodeOptions(symmetry=True))
-    result = solve(cnf, "pysat:minisat22")
+    result = solve(cnf, "builtin")
     print(f"{task.describe():40s} {result.status:7s} "
           f"({cnf.num_vars} vars, {cnf.clause_count} clauses)")
     if result.status != "SAT":

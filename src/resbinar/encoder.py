@@ -184,6 +184,15 @@ class CnfInstance:
             yield tuple(lits[start:end])
             start = end
 
+    def clause_lists(self) -> list[list[int]]:
+        """Every clause as a fresh list, in order, for a caller that reorders
+        literals in place; one tolist() and one slice per clause."""
+        lits, start, out = self._lits.tolist(), 0, []
+        for end in self._ends:
+            out.append(lits[start:end])
+            start = end
+        return out
+
     @property
     def clauses(self) -> list[tuple[int, ...]]:
         return list(self.iter_clauses())

@@ -1,10 +1,11 @@
 """SAT decision procedures over CnfInstance.
 
-Three paths share one result type: a hermetic DPLL for air-gapped tests, an
-in-process pysat backend ("pysat:<engine>"), and any external solver that
-accepts a DIMACS file path.  No path ever returns SAT without re-checking
-the assignment against every clause.  No path keeps a clock: a time limit
-is the orchestrator's, which kills the worker process running the solve.
+Three paths share one result type: a bundled pure-Python CDCL that works
+on an air-gapped machine, an in-process pysat backend ("pysat:<engine>"),
+and any external solver that accepts a DIMACS file path.  No path ever
+returns SAT without re-checking the assignment against every clause.  No
+path keeps a clock: a time limit is the orchestrator's, which kills the
+worker process running the solve.
 """
 
 from __future__ import annotations
@@ -69,11 +70,14 @@ def check_assignment(cnf: CnfInstance, assignment: tuple[bool, ...]) -> bool:
     return True
 
 
-def _propagate(trail: list[int], qhead: int, value: bytearray,
-               watches: list[list[int]], clauses: list[list[int]]) -> tuple[int, bool]:
-    """Unit-propagate the literals trail[qhead:]; returns the new queue head
-    and False on a conflict.  A clause is watched by its first two literals;
-    each watch list is compacted in place, in order."""
+def _propagate(trail: list[int], qhead: int, value: bytearray, watches: list[list[int]],
+               clauses: list[list[int]], reason: list[int], level: list[int],
+               dl: int) -> tuple[int, int]:
+    """Unit-propagate the literals trail[qhead:] at decision level dl;
+    returns the new queue head and the index of a falsified clause, or -1.
+    A clause is watched by its first two literals, and an implied literal
+    sits first in its reason clause.  Each watch list is compacted in place,
+    in order."""
     while qhead < len(trail):
         falsified = -trail[qhead]
         qhead += 1
@@ -102,22 +106,65 @@ def _propagate(trail: list[int], qhead: int, value: bytearray,
                 kept += 1
                 if value[-first]:
                     del ws[kept:i]
-                    return qhead, False
+                    return qhead, ci
                 value[first] = 1
+                reason[first] = ci
+                level[first] = dl
                 trail.append(first)
         del ws[kept:]
-    return qhead, True
+    return qhead, -1
+
+
+def _analyze(ci: int, trail: list[int], clauses: list[list[int]], reason: list[int],
+             level: list[int], dl: int, seen: bytearray) -> list[int]:
+    """First-UIP clause of the conflict on clauses[ci] (Marques-Silva &
+    Sakallah, GRASP 1999): resolve backwards along the trail until one
+    literal of level dl is left.  Its negation comes first in the result;
+    the rest are false at lower levels.  Level-0 literals are left out, as
+    they are false for good.  seen is indexed by the true literal and comes
+    back all zero."""
+    learnt = [0]
+    pending = 0
+    idx = len(trail)
+    lits = clauses[ci]
+    while True:
+        for q in lits:
+            t = -q
+            if not seen[t] and level[t]:
+                seen[t] = 1
+                if level[t] == dl:
+                    pending += 1
+                else:
+                    learnt.append(q)
+        idx -= 1
+        while not seen[trail[idx]]:
+            idx -= 1
+        p = trail[idx]
+        seen[p] = 0
+        pending -= 1
+        if not pending:
+            break
+        lits = clauses[reason[p]][1:]
+    learnt[0] = -p
+    for q in learnt[1:]:
+        seen[-q] = 0
+    return learnt
 
 
 def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveResult:
-    """Plain iterative DPLL with two watched literals per clause.
+    """Deterministic CDCL with two watched literals per clause.
 
-    Branching is activity-free: lowest-numbered unassigned variable, True
-    first.  With the encoder's variable layout that walks the meet table
-    first, which keeps the derived order decided early.  Values and watch
-    lists are indexed by literal (Een & Sorensson, SAT 2003): in a list of
-    length 2*nvars+1, literal -v sits at Python index -v, in the upper half.
-    value[lit] is 1 when lit is true and 0 when it is false or unassigned.
+    Branching is activity-free and there are no restarts: the lowest-numbered
+    unassigned variable is decided, True the first time and then with the
+    polarity it last had (phase saving).  With the encoder's variable layout
+    that walks the meet table first, which keeps the derived order decided
+    early.  Each conflict adds its first-UIP clause, watched like the
+    others and never deleted, and jumps back to the second-highest level in
+    it.  Values, levels, reasons and watch lists are indexed by literal
+    (Een & Sorensson, SAT 2003): in a list of length 2*nvars+1, literal -v
+    sits at Python index -v, in the upper half.  value[lit] is 1 when lit is
+    true and 0 when it is false or unassigned; level[lit] and reason[lit]
+    hold for a true lit.  Every SAT answer is re-checked against the CNF.
     """
     start = time.monotonic()
     max_decisions = budget.max_decisions if budget else None
@@ -126,18 +173,23 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
     clauses: list[list[int]] = []
     watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
     value = bytearray(2 * nvars + 1)
+    level = [0] * (2 * nvars + 1)
+    reason = [0] * (2 * nvars + 1)
+    seen = bytearray(2 * nvars + 1)
+    phase = bytearray(b"\x01") * (nvars + 1)
     trail: list[int] = []
-    decisions = 0
-    propagations = 0
+    trail_lim: list[int] = []  # trail length when each level's decision was made
+    decisions = propagations = conflicts = 0
 
     def stats() -> dict[str, float]:
         return {
             "decisions": decisions,
             "propagations": propagations,
+            "conflicts": conflicts,
             "seconds": time.monotonic() - start,
         }
 
-    for clause in cnf.iter_clauses():
+    for clause in cnf.clause_lists():
         if len(clause) == 1:
             lit = clause[0]
             if value[-lit]:
@@ -149,18 +201,43 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
             ci = len(clauses)  # one int object shared by both watches
             watches[clause[0]].append(ci)
             watches[clause[1]].append(ci)
-            clauses.append(list(clause))
+            clauses.append(clause)
 
-    qhead, ok = _propagate(trail, 0, value, watches, clauses)
-    propagations = qhead
-    if not ok:
-        return SolveResult(UNSAT, stats=stats())
-
-    # decision stack entries: [trail length at decision, var, flipped]
-    stack: list[list[int]] = []
+    qhead = 0
     scan_from = 1
-
     while True:
+        dl = len(trail_lim)
+        head, ci = _propagate(trail, qhead, value, watches, clauses, reason, level, dl)
+        propagations += head - qhead
+        qhead = head
+        if ci >= 0:
+            conflicts += 1
+            if not dl:
+                return SolveResult(UNSAT, stats=stats())
+            learnt = _analyze(ci, trail, clauses, reason, level, dl, seen)
+            unit = learnt[0]
+            back = 0
+            if len(learnt) > 1:
+                top = max(range(1, len(learnt)), key=lambda k: level[-learnt[k]])
+                learnt[1], learnt[top] = learnt[top], learnt[1]
+                back = level[-learnt[1]]
+                reason[unit] = len(clauses)
+                watches[unit].append(len(clauses))
+                watches[learnt[1]].append(len(clauses))
+                clauses.append(learnt)
+            mark = trail_lim[back]
+            # every variable below a level's decision variable was assigned
+            # at a lower level, so the scan resumes at the first one undone
+            scan_from = abs(trail[mark])
+            for lit in trail[mark:]:
+                value[lit] = 0
+                phase[abs(lit)] = lit > 0
+            del trail[mark:], trail_lim[back:]
+            qhead = mark
+            value[unit] = 1
+            level[unit] = back
+            trail.append(unit)
+            continue
         if max_decisions is not None and decisions > max_decisions:
             return SolveResult(UNKNOWN, stats=stats(), reason="decision budget exceeded")
         var = scan_from
@@ -170,32 +247,14 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
         if var > nvars:
             assignment = tuple(map(bool, value[1:nvars + 1]))
             if not check_assignment(cnf, assignment):
-                raise OutputParseError("bundled DPLL produced a non-satisfying assignment")
+                raise OutputParseError("bundled CDCL produced a non-satisfying assignment")
             return SolveResult(SAT, assignment=assignment, stats=stats())
         decisions += 1
-        stack.append([len(trail), var, 0])
-        value[var] = 1
-        trail.append(var)
-        while True:
-            head, ok = _propagate(trail, qhead, value, watches, clauses)
-            propagations += head - qhead
-            qhead = head
-            if ok:
-                break
-            # undo up to the deepest decision not yet flipped, and flip it;
-            # every variable below a decision was assigned before it
-            while stack and stack[-1][2]:
-                stack.pop()
-            if not stack:
-                return SolveResult(UNSAT, stats=stats())
-            mark, dvar, _ = stack[-1]
-            stack[-1][2] = 1
-            for lit in trail[mark:]:
-                value[lit] = 0
-            del trail[mark:]
-            qhead, scan_from = mark, dvar
-            value[-dvar] = 1
-            trail.append(-dvar)
+        trail_lim.append(len(trail))
+        lit = var if phase[var] else -var
+        value[lit] = 1
+        level[lit] = dl + 1
+        trail.append(lit)
 
 
 def _pad_assignment(pairs: Mapping[int, bool], nvars: int) -> tuple[bool, ...]:
@@ -301,8 +360,9 @@ def solve_external(cnf: CnfInstance, command: str) -> SolveResult:
 def solve(cnf: CnfInstance, spec: str = "builtin") -> SolveResult:
     """Dispatch on a solver spec string.
 
-    "builtin" runs the DPLL; "pysat" or "pysat:<engine>" runs in-process
-    CDCL; anything else is an external command template.
+    "builtin" runs the bundled CDCL (solve_builtin); "pysat" or
+    "pysat:<engine>" runs an in-process pysat engine; anything else is an
+    external command template.
     """
     if spec == "builtin":
         return solve_builtin(cnf)

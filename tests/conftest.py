@@ -20,8 +20,8 @@ from resbinar.algebra import FiniteBinar, derive_residuals, order_from_tables
 
 
 # python-sat is a declared dependency and the engine the package defaults to.
-# Without it, the bundled DPLL stands in, but only for tests whose claim does
-# not depend on the engine; tests that need pysat itself call
+# Without it, the bundled CDCL solver stands in, but only for tests whose
+# claim does not depend on the engine; tests that need pysat itself call
 # pytest.importorskip("pysat").
 try:
     import pysat  # noqa: F401

@@ -3,12 +3,13 @@
 Each criterion prints one PASS line on success; a failure is an honest
 failure of the claim, not a tolerance to tune.  Engines per criterion:
 
-- 1 and 6, the equivalence sweeps, use the built-in DPLL so they exercise
-  the slow path end to end;
-- 4 and 5 use the shared ENGINE from conftest (pysat when it can be
-  imported, the built-in DPLL otherwise), which settles them either way;
-- 2 and 3 need pysat (UNSAT at n = 5, witnesses at n = 7..9 with up to
-  4M clauses) and are skipped without it.
+- 1 and 6, the equivalence sweeps, use the bundled CDCL solver so they
+  exercise the pure-Python path end to end;
+- 4 and 5, and 2 at sizes 2..4, use the shared ENGINE from conftest (pysat
+  when it can be imported, the bundled solver otherwise), which settles
+  them either way;
+- 2 at size 5 and 3 need pysat (UNSAT at n = 5, witnesses at n = 7..9
+  with up to 4M clauses) and are skipped without it.
 """
 
 import itertools
@@ -41,7 +42,8 @@ from resbinar.terms import (
 from conftest import ENGINE, chain_tables, lattice_tables_from_leq, make_binar, M3_LEQ
 
 GOLDEN = Path(__file__).parent / "golden"
-# criteria 2 and 3 only; the built-in DPLL cannot settle them at their sizes
+# criterion 2 at size 5 and criterion 3 only; the bundled solver does not
+# settle those in reasonable time (see CHANGES.md for its n = 5 times)
 PYSAT_ENGINE = "pysat:kissat404"
 
 
@@ -86,26 +88,41 @@ def test_criterion_1_oracle_encoder_equivalence():
     print(f"criterion 1: PASS ({checked} tasks, solver == oracle on all)")
 
 
-def test_criterion_2_derived_implications_hold():
-    """Each derived implication stays consistent: assuming the two premise
-    identities plus LD while refuting the conclusion is UNSAT at sizes
-    2..5.  Any SAT here is a hard failure."""
-    pytest.importorskip("pysat")
-    rules = [
-        (("D4", "D5"), "D3"),
-        (("D3", "D6"), "D4"),
-        (("D1", "D4"), "D6"),
-        (("D2", "D3"), "D5"),
-        (("D5", "D1"), "D2"),
-        (("D6", "D2"), "D1"),
-    ]
-    for premises, conclusion in rules:
+# Each derived implication: two premises and the conclusion they give with LD.
+IMPLICATIONS = [
+    (("D4", "D5"), "D3"),
+    (("D3", "D6"), "D4"),
+    (("D1", "D4"), "D6"),
+    (("D2", "D3"), "D5"),
+    (("D5", "D1"), "D2"),
+    (("D6", "D2"), "D1"),
+]
+
+
+def assert_implications_hold(sizes, engine):
+    """Assuming the two premise identities plus LD while refuting the
+    conclusion is UNSAT at every size given.  Any SAT is a hard failure."""
+    for premises, conclusion in IMPLICATIONS:
         assert conclusion in implication_closure(premises)
-        for n in range(2, 6):
+        for n in sizes:
             task = SearchTask.make(n, assume=premises + ("LD",), refute=conclusion)
-            res = solve(encode_search(task), PYSAT_ENGINE)
+            res = solve(encode_search(task), engine)
             assert res.status == UNSAT, f"{task.describe()}: got {res.status}"
-    print("criterion 2: PASS (6 implications x sizes 2..5 all UNSAT)")
+
+
+def test_criterion_2_derived_implications_hold():
+    """Each derived implication stays consistent at sizes 2..4; size 5 is
+    test_criterion_2_derived_implications_hold_at_size_5."""
+    assert_implications_hold(range(2, 5), ENGINE)
+    print("criterion 2: PASS (6 implications x sizes 2..4 all UNSAT)")
+
+
+def test_criterion_2_derived_implications_hold_at_size_5():
+    """Criterion 2 at size 5, which the bundled solver does not settle in
+    reasonable time for every implication."""
+    pytest.importorskip("pysat")
+    assert_implications_hold((5,), PYSAT_ENGINE)
+    print("criterion 2: PASS (6 implications at size 5 all UNSAT)")
 
 
 # Witness sizes recorded from the first full run of this search; the test

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import os
+import random
 import stat
 
 import pytest
@@ -96,6 +97,58 @@ def test_builtin_pigeonhole_sat_when_it_fits():
     assert check_assignment(pigeonhole(4, 4), res.assignment)
 
 
+def satisfiable_by_enumeration(cnf):
+    """Whether some assignment satisfies cnf, trying all 2**num_vars at once:
+    bit a of a mask stands for the assignment whose bit i is the value of
+    variable i + 1."""
+    n = cnf.num_vars
+    size = 1 << n
+    everything = (1 << size) - 1
+    true_where = []
+    for i in range(n):
+        period = 1 << (i + 1)
+        block = ((1 << (1 << i)) - 1) << (1 << i)  # 2**i zeros, then 2**i ones
+        true_where.append(block * (everything // ((1 << period) - 1)))
+    alive = everything
+    for clause in cnf.iter_clauses():
+        sat = 0
+        for lit in clause:
+            mask = true_where[abs(lit) - 1]
+            sat |= mask if lit > 0 else everything ^ mask
+        alive &= sat
+    return alive != 0
+
+
+def random_3cnf(rng, nvars):
+    """Uniform random 3-CNF with 5 clauses per variable, each over three
+    distinct variables: for 8 to 14 variables about half are satisfiable
+    there, above the asymptotic threshold of 4.26."""
+    cnf = CnfInstance(nvars)
+    for _ in range(5 * nvars):
+        cnf.add_clause([v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, nvars + 1), 3)])
+    return cnf
+
+
+def test_builtin_verdicts_match_exhaustive_enumeration():
+    """A referee for the learning kernel: a learned clause the CNF does not
+    imply or a wrong backjump turns up as a wrong verdict somewhere here."""
+    rng = random.Random(20260418)
+    verdicts = {SAT: 0, UNSAT: 0}
+    for _ in range(300):
+        cnf = random_3cnf(rng, rng.randint(8, 14))
+        res = solve_builtin(cnf)
+        assert res.status == (SAT if satisfiable_by_enumeration(cnf) else UNSAT)
+        verdicts[res.status] += 1
+    # both verdicts well represented, so neither side goes untested
+    assert min(verdicts.values()) >= 100, verdicts
+    for k in range(1, 6):
+        if k <= 3:
+            assert not satisfiable_by_enumeration(pigeonhole(k + 1, k))
+        assert solve_builtin(pigeonhole(k + 1, k)).status == UNSAT
+        assert solve_builtin(pigeonhole(k, k)).status == SAT
+
+
 def test_builtin_decision_budget_yields_unknown():
     res = solve_builtin(pigeonhole(6, 5), SolveBudget(max_decisions=1))
     assert res.status == UNKNOWN
@@ -109,83 +162,83 @@ def test_builtin_on_encoder_instance():
 
 
 # (status, decisions, propagations, SHA-256 of the assignment's bytes) of
-# solve_builtin, recorded before the kernel moved to literal-indexed values
-# and in-place watch lists; any change to the search itself shows.
+# solve_builtin, recorded when the kernel became a CDCL; the statuses are
+# those of the DPLL before it.  Any change to the search itself shows.
 SEARCH_PINS = {
     ("assume D1", True): (
         "SAT", 9, 378,
         "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
     ("assume D1", False): (
-        "SAT", 13, 400,
-        "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
-    ("refute D1", True): ("UNSAT", 37, 1659, None),
-    ("refute D1", False): ("UNSAT", 168, 12302, None),
+        "SAT", 9, 464,
+        "a1ff980dfd1900072ab9de4ac1f656fc42b11507f9e32943db190060ddedc926"),
+    ("refute D1", True): ("UNSAT", 28, 1327, None),
+    ("refute D1", False): ("UNSAT", 155, 10710, None),
     ("assume D2", True): (
         "SAT", 9, 378,
         "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
     ("assume D2", False): (
-        "SAT", 13, 400,
-        "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
-    ("refute D2", True): ("UNSAT", 37, 1663, None),
-    ("refute D2", False): ("UNSAT", 168, 12653, None),
+        "SAT", 9, 464,
+        "a1ff980dfd1900072ab9de4ac1f656fc42b11507f9e32943db190060ddedc926"),
+    ("refute D2", True): ("UNSAT", 35, 1776, None),
+    ("refute D2", False): ("UNSAT", 188, 12644, None),
     ("assume D3", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
     ("assume D3", False): (
-        "SAT", 13, 400,
-        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
-    ("refute D3", True): ("UNSAT", 37, 1951, None),
-    ("refute D3", False): ("UNSAT", 168, 13473, None),
+        "SAT", 9, 464,
+        "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
+    ("refute D3", True): ("UNSAT", 20, 1388, None),
+    ("refute D3", False): ("UNSAT", 149, 9498, None),
     ("assume D4", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
     ("assume D4", False): (
-        "SAT", 13, 400,
-        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
-    ("refute D4", True): ("UNSAT", 37, 2298, None),
-    ("refute D4", False): ("UNSAT", 168, 14219, None),
+        "SAT", 9, 464,
+        "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
+    ("refute D4", True): ("UNSAT", 36, 1843, None),
+    ("refute D4", False): ("UNSAT", 219, 13309, None),
     ("assume D5", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
     ("assume D5", False): (
-        "SAT", 13, 400,
-        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
-    ("refute D5", True): ("UNSAT", 37, 2000, None),
-    ("refute D5", False): ("UNSAT", 168, 13791, None),
+        "SAT", 9, 464,
+        "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
+    ("refute D5", True): ("UNSAT", 34, 1906, None),
+    ("refute D5", False): ("UNSAT", 198, 13277, None),
     ("assume D6", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
     ("assume D6", False): (
-        "SAT", 13, 400,
-        "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
-    ("refute D6", True): ("UNSAT", 37, 2293, None),
-    ("refute D6", False): ("UNSAT", 168, 14720, None),
+        "SAT", 9, 464,
+        "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
+    ("refute D6", True): ("UNSAT", 37, 2104, None),
+    ("refute D6", False): ("UNSAT", 218, 13793, None),
     ("assume LD", True): (
         "SAT", 9, 378,
         "bec7eb3a7bef149b6d4b1abcfe55a896163993ff7dfba638277e91aa8f82164b"),
     ("assume LD", False): (
-        "SAT", 13, 420,
-        "bec7eb3a7bef149b6d4b1abcfe55a896163993ff7dfba638277e91aa8f82164b"),
+        "SAT", 9, 508,
+        "47fc431fcdeb853d04efa2baa1d4f13d70c3fd1f9fb1636c9d995413b051a3f5"),
     ("refute LD", True): ("UNSAT", 0, 351, None),
-    ("refute LD", False): ("UNSAT", 7, 1471, None),
-    ("others ⊢ D1", True): ("UNSAT", 33, 2872, None),
-    ("others ⊢ D1", False): ("UNSAT", 162, 23462, None),
-    ("others ⊢ D2", True): ("UNSAT", 33, 2982, None),
-    ("others ⊢ D2", False): ("UNSAT", 162, 23751, None),
-    ("others ⊢ D3", True): ("UNSAT", 33, 3530, None),
-    ("others ⊢ D3", False): ("UNSAT", 162, 25665, None),
-    ("others ⊢ D4", True): ("UNSAT", 33, 3672, None),
-    ("others ⊢ D4", False): ("UNSAT", 162, 25750, None),
-    ("others ⊢ D5", True): ("UNSAT", 37, 3936, None),
-    ("others ⊢ D5", False): ("UNSAT", 168, 26636, None),
-    ("others ⊢ D6", True): ("UNSAT", 33, 3704, None),
-    ("others ⊢ D6", False): ("UNSAT", 162, 26261, None),
+    ("refute LD", False): ("UNSAT", 8, 1551, None),
+    ("others ⊢ D1", True): ("UNSAT", 28, 2286, None),
+    ("others ⊢ D1", False): ("UNSAT", 153, 20976, None),
+    ("others ⊢ D2", True): ("UNSAT", 35, 3113, None),
+    ("others ⊢ D2", False): ("UNSAT", 181, 24533, None),
+    ("others ⊢ D3", True): ("UNSAT", 20, 2675, None),
+    ("others ⊢ D3", False): ("UNSAT", 155, 20132, None),
+    ("others ⊢ D4", True): ("UNSAT", 35, 3613, None),
+    ("others ⊢ D4", False): ("UNSAT", 213, 25247, None),
+    ("others ⊢ D5", True): ("UNSAT", 34, 4314, None),
+    ("others ⊢ D5", False): ("UNSAT", 197, 27266, None),
+    ("others ⊢ D6", True): ("UNSAT", 37, 4181, None),
+    ("others ⊢ D6", False): ("UNSAT", 210, 26824, None),
     ("n=4 LD,D1 ⊢ D3", True): (
-        "SAT", 16, 2685,
-        "0cbf7707b9f90f2bfea270fd6234af99e37a9980726e84bcb12eeab388166217"),
+        "SAT", 15, 2176,
+        "e5a75895007f46e04621961e98d2a7fcb5bf443ebe29e04cd8f61e2bc0e6718f"),
     ("n=4 LD,D1 ⊢ D3", False): (
-        "SAT", 19, 2685,
-        "0cbf7707b9f90f2bfea270fd6234af99e37a9980726e84bcb12eeab388166217"),
+        "SAT", 18, 2176,
+        "e5a75895007f46e04621961e98d2a7fcb5bf443ebe29e04cd8f61e2bc0e6718f"),
     ("n=4 base", True): (
         "SAT", 10, 832,
         "9b52cc463d984f9e4799e2f00576ee6bc08691d839468fd345155f3573f55ced"),
