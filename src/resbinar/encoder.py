@@ -13,6 +13,12 @@ because its defining clauses force the true value upward and an at-most-one
 ring forbids extras.  The encoder relies on the catalogue never putting a
 bare variable on an assumed identity's left side or on either side of a
 refuted one, so those sides are always literal tuples.
+
+Clauses are built as tuples, normal by construction, and appended to the
+store in bulk.  add_clause's normalisation runs only where term values can
+overlap: a _force_into call whose target equals an input or that reads an
+op cell which is also an input (the lattice laws), and a refuted tuple
+whose two sides are the same literals.
 """
 
 from __future__ import annotations
@@ -131,12 +137,14 @@ class CnfInstance:
     """Clause store: every literal in one flat array, and the end offset of
     each clause in a second, so a clause is one slice of the first.
 
-    Duplicate literals within a clause are removed and tautologies are
-    silently dropped, so downstream watched-literal handling never sees a
-    clause watching one variable twice.  An instance from encode_search
-    starts as a copy of its size's base clauses from _cache_base, which keeps
-    them for the life of the process: 2.5 MiB of arrays at n = 7, 8.9 MiB
-    at n = 9.
+    add_clause range-checks each literal, removes repeated ones and silently
+    drops tautologies, so downstream watched-literal handling never sees a
+    clause watching one variable twice.  The encoder appends the clauses it
+    builds normal in bulk through _extend, unchecked, and sends only those
+    whose term values overlap through add_clause.  An instance from
+    encode_search starts as a copy of its size's base clauses from
+    _cache_base, which keeps them for the life of the process: 2.5 MiB of
+    arrays at n = 7, 8.9 MiB at n = 9.
     """
 
     def __init__(self, num_vars: int = 0):
@@ -197,6 +205,20 @@ class CnfInstance:
     def clauses(self) -> list[tuple[int, ...]]:
         return list(self.iter_clauses())
 
+    def _extend(self, clauses: list[tuple[int, ...]], normal: bool = True) -> None:
+        """Append clauses in bulk, unchecked when the caller vouches that
+        they are normal (literals in range, none repeated or complemented);
+        otherwise each goes through add_clause."""
+        if not normal:
+            for clause in clauses:
+                self.add_clause(clause)
+            return
+        ends = itertools.accumulate(map(len, clauses), initial=len(self._lits))
+        next(ends)
+        self._lits.extend(itertools.chain.from_iterable(clauses))
+        self._ends.extend(ends)
+        self.clause_count += len(clauses)
+
 
 @dataclass(frozen=True)
 class EncodeOptions:
@@ -239,8 +261,7 @@ class _Encoder:
         if self.task.refute is not None:
             self._refute(builtin(self.task.refute))
         if self.opts.symmetry:
-            for clause in symmetry_clauses(self.n, self.varmap.leq):
-                self.cnf.add_clause(clause)
+            self.cnf._extend(symmetry_clauses(self.n, self.varmap.leq))
         return self.cnf
 
     # -- building blocks
@@ -250,13 +271,13 @@ class _Encoder:
         for op in OPS:
             for row in range(n):
                 for col in range(n):
-                    cell = [vm.var(op, row, col, v) for v in range(n)]
-                    self.cnf.add_clause(cell)
+                    first = vm.var(op, row, col, 0)
+                    cell = tuple(range(first, first + n))
+                    self.cnf._extend([cell])
                     self._at_most_one(cell)
 
     def _at_most_one(self, lits) -> None:
-        for a, b in itertools.combinations(lits, 2):
-            self.cnf.add_clause((-a, -b))
+        self.cnf._extend([(-a, -b) for a, b in itertools.combinations(lits, 2)])
 
     def _flatten(self, t: Term, env: Mapping[str, int]):
         """Value of a term: an int, or a tuple of literals, one per value."""
@@ -265,7 +286,8 @@ class _Encoder:
         left = self._flatten(t.left, env)
         right = self._flatten(t.right, env)
         if isinstance(left, int) and isinstance(right, int):
-            return tuple(self.varmap.var(t.op, left, right, v) for v in range(self.n))
+            first = self.varmap.var(t.op, left, right, 0)
+            return tuple(range(first, first + self.n))
         key = (t.op, left, right)
         lits = self.varmap.aux.get(key)
         if lits is None:
@@ -283,17 +305,29 @@ class _Encoder:
 
     def _force_into(self, op: str, left, right, target) -> None:
         """Clauses: left=a and right=b and op[a][b]=v imply target=v, where
-        target is an int or a tuple of literals."""
-        n, vm, add = self.n, self.varmap, self.cnf.add_clause
+        target is an int or a tuple of literals.
+
+        A literal tuple is n consecutive variables, so two tuples are equal
+        or disjoint.  When left == right, the prefix of a pair a == b keeps
+        one copy of its literal, as add_clause would.  Any other repeated or
+        complementary literal needs a target equal to an input, or a tuple
+        that is one of the op cells the call reads (as in the lattice laws):
+        only such calls go through add_clause."""
+        n = self.n
+        first = self.varmap.var(op, 0, 0, 0)
+        same = left == right
         rights = self._choices(right)
-        pairs = [(a, b, pa + pb) for a, pa in self._choices(left) for b, pb in rights]
+        pairs = [(first + (a * n + b) * n, pa if same and a == b else pa + pb)
+                 for a, pa in self._choices(left) for b, pb in rights]
         if isinstance(target, int):
-            for a, b, prefix in pairs:
-                add(prefix + (vm.var(op, a, b, target),))
-            return
-        for a, b, prefix in pairs:
-            for v in range(n):
-                add(prefix + (-vm.var(op, a, b, v), target[v]))
+            clauses = [prefix + (cell + target,) for cell, prefix in pairs]
+        else:
+            clauses = [prefix + (-v, t) for cell, prefix in pairs
+                       for v, t in zip(range(cell, cell + n), target)]
+        heads = {t[0] for t in (left, right, target) if isinstance(t, tuple)}
+        normal = not (isinstance(target, tuple) and target in (left, right)
+                      or any(cell in heads for cell, _ in pairs))
+        self.cnf._extend(clauses, normal)
 
     def _assert_identity(self, ident: Identity) -> None:
         """Force lhs = rhs on every tuple of carrier values."""
@@ -306,8 +340,10 @@ class _Encoder:
                              self._flatten(lhs.right, env), rhs)
 
     def _residuation(self) -> None:
-        """x*y <= z iff y <= x\\z iff x <= z/y, expanded per cell values."""
-        n, vm, add = self.n, self.varmap, self.cnf.add_clause
+        """x*y <= z iff y <= x\\z iff x <= z/y, expanded per cell values;
+        the pair of clauses whose two order literals coincide (a tautology)
+        is left out."""
+        n, vm, clauses = self.n, self.varmap, []
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -317,17 +353,17 @@ class _Encoder:
                         for b in range(n):
                             rb = -vm.var("lres", x, z, b)
                             lb = vm.leq(y, b)
-                            add((ma, rb, -la, lb))
-                            add((ma, rb, la, -lb))
+                            if lb != la:
+                                clauses += ((ma, rb, -la, lb), (ma, rb, la, -lb))
                         for c in range(n):
                             rc = -vm.var("rres", z, y, c)
                             lc = vm.leq(x, c)
-                            add((ma, rc, -la, lc))
-                            add((ma, rc, la, -lc))
+                            if lc != la:
+                                clauses += ((ma, rc, -la, lc), (ma, rc, la, -lc))
+        self.cnf._extend(clauses)
 
     def _refute(self, ident: Identity) -> None:
         """Some tuple must witness lhs != rhs: one selector per tuple."""
-        add = self.cnf.add_clause
         names = identity_variables(ident)
         selectors = []
         for tup in itertools.product(range(self.n), repeat=len(names)):
@@ -336,9 +372,8 @@ class _Encoder:
             selectors.append(w)
             lhs = self._flatten(ident.lhs, env)
             rhs = self._flatten(ident.rhs, env)
-            for l, r in zip(lhs, rhs):
-                add((-w, -l, -r))
-        add(selectors)
+            self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)], lhs != rhs)
+        self.cnf._extend([tuple(selectors)])
 
 
 def symmetry_clauses(
@@ -393,10 +428,16 @@ def write_dimacs_file(cnf: CnfInstance, path) -> None:
             for (op, row, col, value), var in cnf.varmap.base_items():
                 handle.write(f"c map {op} {row} {col} {value} {var}\n")
         handle.write(f"p cnf {cnf.num_vars} {cnf.clause_count}\n")
-        chunk: list[str] = []
-        for clause in cnf.iter_clauses():
-            chunk.append(" ".join(str(lit) for lit in clause) + " 0\n")
-            if len(chunk) >= 4096:
-                handle.write("".join(chunk))
-                chunk.clear()
-        handle.write("".join(chunk))
+        # each literal's text is made once: words[lit] for either sign
+        words = [str(v) for v in range(cnf.num_vars + 1)]
+        words += [str(v) for v in range(-cnf.num_vars, 0)]
+        lits, ends, start = cnf._lits, cnf._ends, 0
+        for i in range(0, len(ends), 4096):
+            block = [end - start for end in ends[i:i + 4096]]  # offsets from start
+            text = list(map(words.__getitem__, lits[start:start + block[-1]]))
+            at, lines = 0, []
+            for end in block:
+                lines.append(" ".join(text[at:end]) + " 0\n")
+                at = end
+            handle.write("".join(lines))
+            start += block[-1]

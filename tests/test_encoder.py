@@ -224,12 +224,30 @@ ENCODING_DIGESTS = {
     "others ⊢ D5": "837721cd17afd353bfeb152461e4b05f4e0d3afe31251ef9e8f6c4259b769710",
     "others ⊢ D6": "eedc74b8e8616e300c934ce6190281c93e3bc038c49033e5a6ccdc1c42d3dae4",
     "n=4 LD,D1 ⊢ D3": "9c8782ff5f09adb961db0c76cb4ccdd1e28c7e1a5bdf7a9b3f06f40259de5b15",
+    # recorded before clauses were emitted in bulk: how often a clause meets
+    # a repeated or complementary literal depends on n
+    "n=4 assume D1": "ec6a2647d6380ab3ddd39a29d9edabc982706bcab2289d56cae0dd2e6521c501",
+    "n=4 refute D1": "c967ba19dd98927922743a8c729899f110eb84dc0206667732887b3117509ce4",
+    "n=4 assume D2": "1bfbc3899cd4e55b1b9ce984447d52a9dbfb3d71db97503c2dbed9c507195283",
+    "n=4 refute D2": "99fc5c6eecd2c3a45be78cee8f35e76d48e28540bb039a05351ad9fb8874d57d",
+    "n=4 assume D3": "3f8cb03b817e45c74109269b9e8fd26d1084f1a581a993196ee3d2f6afc419ae",
+    "n=4 refute D3": "08fa2fffe7fedb5bdbf4f1a06a069717f93e6cb1d505f8e0c53b5872dec4a1ef",
+    "n=4 assume D4": "d79fdbc1efd847ce3b28c93da5cab021136f09f5c595fd1bff0306c504cbd29b",
+    "n=4 refute D4": "876c8bf41f2af3551aa84518473676a5aad0a2b8ac01252f2fdcc19155c7bbd6",
+    "n=4 assume D5": "48150e21ea2bfcadc9588932e67cdbc0a1beb9af41bf82a0d9be4f5416e8bc5f",
+    "n=4 refute D5": "72bf82e4179f2abe7686388f123a38d15839a9d0649651f93dd50ce90d812922",
+    "n=4 assume D6": "1b5b1c1d4c4a1da6bbd73e1f284d2d32ec799b7f50bc92c31b89f8794b357e32",
+    "n=4 refute D6": "f964f2f1e57d0b1174c57c488bc766bac2382ca8be359a7fefb7056443bc1995",
+    "n=4 assume LD": "07f9c98a94d1e76e604064c1a03498c461207dddad26692c060477ae85b9ba34",
+    "n=4 refute LD": "f0e03be43a5881d798e0a2b90beb00145927a41263a9946a96df13524f1bb346",
+    "n=4 base, no symmetry": "5f37b34d35b6a2011e2692b85ead8fffd8b897afb9b77950102d48795a99fa65",
 }
 
 
 def pinned_encodings():
     """Each assumed and each refuted identity alone at n = 3, the base task
-    without symmetry, the criterion-3 tasks at n = 3 and one LD task at n = 4."""
+    without symmetry, the criterion-3 tasks at n = 3, one LD task at n = 4,
+    then each identity alone and the base task without symmetry at n = 4."""
     for name in IDENTITY_NAMES:
         yield f"assume {name}", SearchTask.make(3, assume=(name,)), True
         yield f"refute {name}", SearchTask.make(3, refute=name), True
@@ -238,6 +256,10 @@ def pinned_encodings():
         others = [d for d in DISTRIBUTIVITY_NAMES if d != target]
         yield f"others ⊢ {target}", SearchTask.make(3, assume=others, refute=target), True
     yield "n=4 LD,D1 ⊢ D3", SearchTask.make(4, assume=("LD", "D1"), refute="D3"), True
+    for name in IDENTITY_NAMES:
+        yield f"n=4 assume {name}", SearchTask.make(4, assume=(name,)), True
+        yield f"n=4 refute {name}", SearchTask.make(4, refute=name), True
+    yield "n=4 base, no symmetry", SearchTask(4), False
 
 
 def test_every_identity_encodes_byte_for_byte_as_pinned(tmp_path):
@@ -246,6 +268,18 @@ def test_every_identity_encodes_byte_for_byte_as_pinned(tmp_path):
         cnf = encode_search(task, EncodeOptions(symmetry=symmetry))
         digests[label] = hashlib.sha256(dimacs_bytes(cnf, tmp_path)).hexdigest()
     assert digests == ENCODING_DIGESTS
+
+
+def test_pinned_encodings_hold_only_normal_clauses():
+    # add_clause would shorten a clause with a repeated literal and drop a
+    # tautology, so a stored clause that is not normal shows as a difference
+    for label, task, symmetry in pinned_encodings():
+        cnf = encode_search(task, EncodeOptions(symmetry=symmetry))
+        clauses = list(cnf.iter_clauses())
+        assert all(0 < abs(lit) <= cnf.num_vars for clause in clauses for lit in clause), label
+        again = CnfInstance.from_clauses(cnf.num_vars, clauses)
+        assert again.clause_count == cnf.clause_count == len(clauses), label
+        assert list(again.iter_clauses()) == clauses, label
 
 
 def test_cached_base_encodes_like_a_cold_one(tmp_path, monkeypatch):
