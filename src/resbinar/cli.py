@@ -41,7 +41,7 @@ from .orchestrator import (
     run_task,
 )
 from .reporting import report_bundle
-from .solver import DEFAULT_ENGINE, SAT, UNSAT
+from .solver import DEFAULT_SOLVER, SAT, UNSAT
 from .terms import DISTRIBUTIVITY_NAMES, builtin
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ EXIT_UNSAT = 20
 
 
 def _default_solver() -> str:
-    return os.environ.get("RB_SOLVER", f"pysat:{DEFAULT_ENGINE}")
+    return os.environ.get("RB_SOLVER", DEFAULT_SOLVER)
 
 
 def _parse_assume(text: str | None, distributive: bool) -> frozenset[str]:

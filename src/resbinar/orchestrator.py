@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, verify
 from .encoder import EncodeOptions, SearchTask, decode_model, encode_search
-from .solver import DEFAULT_ENGINE, SAT, UNKNOWN, UNSAT, solve
+from .solver import DEFAULT_SOLVER, SAT, UNKNOWN, UNSAT, solve
 from .terms import DISTRIBUTIVITY_NAMES
 
 SIZE_CEILING = 14
@@ -85,7 +85,7 @@ class GridConfig:
     max_size: int = 10
     workers: int = 1
     timeout: float | None = None  # seconds per task; None for no limit
-    solver: str = f"pysat:{DEFAULT_ENGINE}"
+    solver: str = DEFAULT_SOLVER
     out_dir: str | Path = "results"
 
     def __post_init__(self):

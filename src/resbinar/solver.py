@@ -1,11 +1,12 @@
 """SAT decision procedures over CnfInstance.
 
-Three paths share one result type: a bundled pure-Python CDCL that works
-on an air-gapped machine, an in-process pysat backend ("pysat:<engine>"),
-and any external solver that accepts a DIMACS file path.  No path ever
-returns SAT without re-checking the assignment against every clause.  No
-path keeps a clock: a time limit is the orchestrator's, which kills the
-worker process running the solve.
+Three backends share one result type: a bundled pure-Python CDCL that
+works on an air-gapped machine, an in-process pysat engine
+("pysat:<engine>"), and any external solver that accepts a DIMACS file
+path.  Every SAT answer leaves through `_answer`, which sizes the
+assignment to the instance's variables and re-checks it against every
+clause.  No backend keeps a clock: a time limit is the orchestrator's,
+which kills the worker process running the solve.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .encoder import CnfInstance, write_dimacs_file
 
@@ -25,6 +26,7 @@ UNSAT = "UNSAT"
 UNKNOWN = "UNKNOWN"
 
 DEFAULT_ENGINE = "kissat404"
+DEFAULT_SOLVER = f"pysat:{DEFAULT_ENGINE}"
 
 
 class SolverSpawnError(RuntimeError):
@@ -33,6 +35,10 @@ class SolverSpawnError(RuntimeError):
 
 class OutputParseError(ValueError):
     pass
+
+
+class _NoStatusLine(OutputParseError):
+    """Solver output without an `s` line, where an exit code may stand in."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,21 @@ def check_assignment(cnf: CnfInstance, assignment: tuple[bool, ...]) -> bool:
         else:
             return False
     return True
+
+
+def _answer(cnf: CnfInstance, values: Iterable[bool] | Mapping[int, bool], who: str,
+            stats: Mapping[str, float]) -> SolveResult:
+    """The SAT result of every backend.  values is a truth value per
+    variable from 1 (builtin), or a mapping from variable to value (pysat,
+    external) in which a variable left out is False and one past num_vars
+    is dropped.  An assignment that leaves a clause false raises."""
+    if isinstance(values, Mapping):
+        assignment = tuple(values.get(v, False) for v in range(1, cnf.num_vars + 1))
+    else:
+        assignment = tuple(map(bool, values))
+    if not check_assignment(cnf, assignment):
+        raise OutputParseError(f"{who} returned an assignment that does not satisfy the instance")
+    return SolveResult(SAT, assignment=assignment, stats=stats)
 
 
 def _propagate(trail: list[int], qhead: int, value: bytearray, watches: list[list[int]],
@@ -245,20 +266,13 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
             var += 1
         scan_from = var
         if var > nvars:
-            assignment = tuple(map(bool, value[1:nvars + 1]))
-            if not check_assignment(cnf, assignment):
-                raise OutputParseError("bundled CDCL produced a non-satisfying assignment")
-            return SolveResult(SAT, assignment=assignment, stats=stats())
+            return _answer(cnf, value[1:nvars + 1], "bundled CDCL", stats())
         decisions += 1
         trail_lim.append(len(trail))
         lit = var if phase[var] else -var
         value[lit] = 1
         level[lit] = dl + 1
         trail.append(lit)
-
-
-def _pad_assignment(pairs: Mapping[int, bool], nvars: int) -> tuple[bool, ...]:
-    return tuple(bool(pairs.get(v, False)) for v in range(1, nvars + 1))
 
 
 def solve_pysat(cnf: CnfInstance, engine: str = DEFAULT_ENGINE) -> SolveResult:
@@ -274,18 +288,16 @@ def solve_pysat(cnf: CnfInstance, engine: str = DEFAULT_ENGINE) -> SolveResult:
         raise SolverSpawnError(f"engine {engine!r} failed to start: {exc}") from None
     with solver:
         outcome = solver.solve()
-        seconds = time.monotonic() - start
+        stats = {"seconds": time.monotonic() - start}
         if not outcome:
-            return SolveResult(UNSAT, stats={"seconds": seconds})
+            return SolveResult(UNSAT, stats=stats)
         model = solver.get_model() or []
-    assignment = _pad_assignment({abs(l): l > 0 for l in model}, cnf.num_vars)
-    if not check_assignment(cnf, assignment):
-        raise OutputParseError(f"engine {engine!r} returned a non-satisfying model")
-    return SolveResult(SAT, assignment=assignment, stats={"seconds": seconds})
+    return _answer(cnf, {abs(l): l > 0 for l in model}, f"engine {engine!r}", stats)
 
 
-def parse_solver_output(text: str) -> SolveResult:
-    """Decode SAT-competition conventions: `s` status line, `v` value lines."""
+def parse_solver_output(text: str) -> tuple[str, dict[int, bool], str | None]:
+    """Decode SAT-competition conventions, an `s` status line and `v` value
+    lines, into (status, value per variable named, reason)."""
     status = None
     values: dict[int, bool] = {}
     for raw in text.splitlines():
@@ -300,18 +312,16 @@ def parse_solver_output(text: str) -> SolveResult:
                 status = UNKNOWN
         elif line.startswith("v ") or line == "v":
             for token in line[2:].split():
-                lit = int(token)
+                try:
+                    lit = int(token)
+                except ValueError:
+                    raise OutputParseError(f"bad literal {token!r} in a value line") from None
                 if lit == 0:
                     break
                 values[abs(lit)] = lit > 0
     if status is None:
-        raise OutputParseError("no status line in solver output")
-    if status == SAT:
-        nvars = max(values) if values else 0
-        return SolveResult(SAT, assignment=_pad_assignment(values, nvars))
-    if status == UNSAT:
-        return SolveResult(UNSAT)
-    return SolveResult(UNKNOWN, reason="solver reported unknown")
+        raise _NoStatusLine("no status line in solver output")
+    return status, values, "solver reported unknown" if status == UNKNOWN else None
 
 
 def solve_external(cnf: CnfInstance, command: str) -> SolveResult:
@@ -325,7 +335,7 @@ def solve_external(cnf: CnfInstance, command: str) -> SolveResult:
     argv = shlex.split(command)
     if not argv:
         raise SolverSpawnError("empty solver command")
-    with tempfile.TemporaryDirectory(prefix="rbsat-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="resbinar-") as tmp:
         path = str(Path(tmp) / "instance.cnf")
         write_dimacs_file(cnf, path)
         if any("{file}" in token for token in argv):
@@ -336,25 +346,20 @@ def solve_external(cnf: CnfInstance, command: str) -> SolveResult:
             proc = subprocess.run(argv, capture_output=True, text=True)
         except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
             raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from None
-    seconds = time.monotonic() - start
+    stats = {"seconds": time.monotonic() - start}
     try:
-        result = parse_solver_output(proc.stdout)
-    except OutputParseError:
+        status, values, reason = parse_solver_output(proc.stdout)
+    except _NoStatusLine:
         if proc.returncode == 10:
             raise OutputParseError(
                 "solver exited 10 (SAT) without printing a model"
             ) from None
         if proc.returncode == 20:
-            return SolveResult(UNSAT, stats={"seconds": seconds})
+            return SolveResult(UNSAT, stats=stats)
         raise
-    if result.status == SAT:
-        assignment = result.assignment
-        if len(assignment) < cnf.num_vars:
-            assignment = assignment + (False,) * (cnf.num_vars - len(assignment))
-        if not check_assignment(cnf, assignment):
-            raise OutputParseError("external model does not satisfy the instance")
-        return SolveResult(SAT, assignment=assignment, stats={"seconds": seconds})
-    return SolveResult(result.status, stats={"seconds": seconds}, reason=result.reason)
+    if status == SAT:
+        return _answer(cnf, values, f"external solver {argv[0]!r}", stats)
+    return SolveResult(status, stats=stats, reason=reason)
 
 
 def solve(cnf: CnfInstance, spec: str = "builtin") -> SolveResult:

@@ -12,7 +12,6 @@ import resbinar.orchestrator
 import resbinar.solver
 from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model, verify
 from resbinar.cli import main
-from resbinar.dimacs_cli import main as rbsat_main, read_dimacs
 from resbinar.encoder import SearchTask
 from resbinar.solver import UNKNOWN, SolveResult
 
@@ -206,12 +205,21 @@ def test_search_prints_model_json(capsys):
     assert data["size"] == 2
 
 
+def dimacs_header(path):
+    """The fields of a DIMACS file's `p cnf <vars> <clauses>` line."""
+    for line in path.read_text().splitlines():
+        if line.startswith("p "):
+            p, kind, nvars, nclauses = line.split()
+            return p, kind, int(nvars), int(nclauses)
+    raise AssertionError(f"no p line in {path}")
+
+
 def test_encode_writes_dimacs(tmp_path, capsys):
     path = tmp_path / "task.cnf"
     assert main(["encode", "--size", "2", "--refute", "D1",
                  "--dimacs", str(path)]) == 0
-    nvars, clauses = read_dimacs(str(path))
-    assert nvars > 0 and clauses
+    _, kind, nvars, nclauses = dimacs_header(path)
+    assert kind == "cnf" and nvars > 0 and nclauses > 0
     header = capsys.readouterr().out
     assert header.startswith("p cnf")
 
@@ -222,7 +230,7 @@ def test_encode_no_symmetry_differs(tmp_path):
     main(["encode", "--size", "3", "--dimacs", str(a)])
     main(["encode", "--size", "3", "--dimacs", str(b), "--no-symmetry"])
     assert a.read_bytes() != b.read_bytes()
-    assert len(read_dimacs(str(a))[1]) > len(read_dimacs(str(b))[1])
+    assert dimacs_header(a)[3] > dimacs_header(b)[3]
 
 
 def test_encode_reports_a_dimacs_path_it_cannot_write(tmp_path, capsys):
@@ -327,29 +335,8 @@ def test_enumerate_out_of_range(capsys):
     assert main(["enumerate", "--size", "9"]) == 2
 
 
-def test_rbsat_roundtrip(tmp_path, capsys):
-    pytest.importorskip("pysat")
-    sat = tmp_path / "sat.cnf"
-    sat.write_text("c comment\np cnf 2 2\n1 2 0\n-1 0\n")
-    assert rbsat_main([str(sat), "--engine", "minisat22"]) == 10
-    out = capsys.readouterr().out
-    assert "s SATISFIABLE" in out
-    assert any(line.startswith("v ") for line in out.splitlines())
-
-    unsat = tmp_path / "unsat.cnf"
-    unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
-    assert rbsat_main([str(unsat)]) == 20
-    assert "s UNSATISFIABLE" in capsys.readouterr().out
-
-
-def test_rbsat_missing_file(tmp_path, capsys):
-    assert rbsat_main([str(tmp_path / "nope.cnf")]) == 0
-    assert "s UNKNOWN" in capsys.readouterr().out
-
-
 def test_console_scripts_installed():
     require_installed_package()
-    for name, args in (("resbinar", ["enumerate", "--size", "2", "--count-only"]),
-                       ("rbsat", ["--help"])):
-        proc = subprocess.run([name] + args, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(["resbinar", "enumerate", "--size", "2", "--count-only"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

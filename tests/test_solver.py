@@ -3,6 +3,8 @@ import itertools
 import os
 import random
 import stat
+import sys
+import types
 
 import pytest
 
@@ -25,8 +27,6 @@ from resbinar.solver import (
     solve_pysat,
 )
 from resbinar.terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES
-
-from conftest import require_installed_package
 
 
 def tiny_sat():
@@ -281,21 +281,66 @@ def test_pysat_sat_unsat():
     assert solve_pysat(pigeonhole(5, 4), engine="minisat22").status == UNSAT
 
 
+def stub_pysat(monkeypatch, outcome, model):
+    """Put a pysat.solvers module in place whose Solver answers outcome and
+    model, whatever the clauses."""
+    class Solver:
+        def __init__(self, name, bootstrap_with):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def solve(self):
+            return outcome
+
+        def get_model(self):
+            return model
+
+    module = types.ModuleType("pysat.solvers")
+    module.Solver = Solver
+    monkeypatch.setitem(sys.modules, "pysat.solvers", module)
+
+
+def test_pysat_answer_is_padded_and_checked(monkeypatch):
+    # variable 3 is left out of the model and comes back False
+    cnf = CnfInstance.from_clauses(3, [(1, 2), (-1,)])
+    stub_pysat(monkeypatch, True, [-1, 2])
+    res = solve_pysat(cnf, engine="stub")
+    assert res.status == SAT
+    assert res.assignment == (False, True, False)
+    assert res.stats["seconds"] >= 0
+
+    stub_pysat(monkeypatch, True, [1, -2, -3])
+    with pytest.raises(OutputParseError, match="stub"):
+        solve_pysat(cnf, engine="stub")
+
+    stub_pysat(monkeypatch, False, None)
+    res = solve_pysat(tiny_unsat(), engine="stub")
+    assert res.status == UNSAT
+    assert res.assignment is None
+
+
 def test_pysat_unknown_engine():
     with pytest.raises(SolverSpawnError):
         solve_pysat(tiny_sat(), engine="definitely-not-a-solver")
 
 
 def test_parse_solver_output_sat():
-    res = parse_solver_output("c comment\ns SATISFIABLE\nv 1 -2\nv 3 0\n")
-    assert res.status == SAT
-    assert res.assignment == (True, False, True)
+    status, values, reason = parse_solver_output("c comment\ns SATISFIABLE\nv 1 -2\nv 3 0\n")
+    assert status == SAT
+    assert values == {1: True, 2: False, 3: True}
+    assert reason is None
 
 
 def test_parse_solver_output_unsat_and_unknown():
-    assert parse_solver_output("s UNSATISFIABLE\n").status == UNSAT
-    res = parse_solver_output("s UNKNOWN\n")
-    assert res.status == UNKNOWN
+    assert parse_solver_output("s UNSATISFIABLE\n") == (UNSAT, {}, None)
+    status, _, reason = parse_solver_output("s UNKNOWN\n")
+    assert status == UNKNOWN
+    assert "unknown" in reason
 
 
 def test_parse_solver_output_requires_status():
@@ -323,6 +368,29 @@ def test_external_rejects_lying_model(tmp_path):
         solve_external(tiny_sat(), cmd)
 
 
+def test_external_rejects_a_bad_literal(tmp_path):
+    # whatever the exit code: a status line was printed, so the exit code
+    # does not stand in for it
+    for code in (0, 10, 20):
+        cmd = script(tmp_path, f"fake-garbled-{code}",
+                     f'echo "s SATISFIABLE"\necho "v -1 x 0"\nexit {code}\n')
+        with pytest.raises(OutputParseError, match="'x'"):
+            solve_external(tiny_sat(), cmd)
+
+
+def test_external_assignment_has_num_vars_entries(tmp_path):
+    # the solver names a variable the instance does not have; as on every
+    # backend, the assignment has exactly num_vars entries
+    cmd = script(tmp_path, "fake-extra", 'echo "s SATISFIABLE"\necho "v -1 2 3 0"\n')
+    res = solve_external(tiny_sat(), cmd)
+    assert res.status == SAT
+    assert res.assignment == (False, True)
+    # and a variable it leaves out is False
+    cmd = script(tmp_path, "fake-short", 'echo "s SATISFIABLE"\necho "v -1 2 0"\n')
+    cnf = CnfInstance.from_clauses(3, [(1, 2), (-1,)])
+    assert solve_external(cnf, cmd).assignment == (False, True, False)
+
+
 def test_external_exit_code_20_fallback(tmp_path):
     cmd = script(tmp_path, "fake-unsat", "exit 20\n")
     assert solve_external(tiny_unsat(), cmd).status == UNSAT
@@ -346,8 +414,8 @@ def test_external_file_token_substitution(tmp_path):
 
 def test_solve_dispatcher(tmp_path, monkeypatch):
     assert solve(tiny_sat(), "builtin").status == SAT
-    # pysat specs must reach solve_pysat with the right engine; real pysat
-    # answers are checked by test_pysat_sat_unsat
+    # pysat specs must reach solve_pysat with the right engine; its answers
+    # are checked by test_pysat_sat_unsat and test_pysat_answer_is_padded_and_checked
     calls = []
 
     def record(cnf, engine):
@@ -360,14 +428,6 @@ def test_solve_dispatcher(tmp_path, monkeypatch):
     assert calls == [DEFAULT_ENGINE, "minisat22"]
     cmd = script(tmp_path, "fake-unsat", "exit 20\n")
     assert solve(tiny_unsat(), cmd).status == UNSAT
-
-
-def test_solve_via_bundled_dimacs_frontend():
-    require_installed_package()
-    pytest.importorskip("pysat")
-    # the console entry point speaks the SAT-competition conventions
-    assert solve(tiny_sat(), "rbsat {file}").status == SAT
-    assert solve(tiny_unsat(), "rbsat {file}").status == UNSAT
 
 
 def test_agreement_between_backends():
