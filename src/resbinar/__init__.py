@@ -53,9 +53,10 @@ from .orchestrator import (
     ConfigError,
     GridConfig,
     GridOutcome,
-    GridTask,
     SearchResult,
     build_grid,
+    expects_unsat,
+    goal_of,
     implication_closure,
     load_results,
     persist_result,

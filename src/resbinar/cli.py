@@ -36,6 +36,7 @@ from .orchestrator import (
     ConfigError,
     GridConfig,
     build_grid,
+    expects_unsat,
     load_results,
     run_grid,
     run_task,
@@ -65,6 +66,18 @@ def _parse_assume(text: str | None, distributive: bool) -> frozenset[str]:
     if distributive:
         names.add("LD")
     return frozenset(names)
+
+
+class _InvalidTask(ValueError):
+    pass
+
+
+def _task(args, size: int) -> SearchTask:
+    """The task that --assume, --distributive and --refute name at `size`."""
+    try:
+        return SearchTask(size, _parse_assume(args.assume, args.distributive), args.refute)
+    except ValueError as exc:
+        raise _InvalidTask(exc) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,12 +142,7 @@ def _cmd_check(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load model: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        task = SearchTask(model.size, _parse_assume(args.assume, args.distributive),
-                          args.refute)
-    except ValueError as exc:
-        print(f"invalid task: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    task = _task(args, model.size)
     if task.refute is not None:
         witness = check_identity(model, builtin(task.refute))
         if witness is not None:
@@ -153,12 +161,7 @@ def _cmd_search(args) -> int:
     if args.timeout is not None and not args.timeout > 0:
         print(f"invalid timeout: {args.timeout} (need seconds > 0)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        task = SearchTask(args.size, _parse_assume(args.assume, args.distributive),
-                          args.refute)
-    except ValueError as exc:
-        print(f"invalid task: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    task = _task(args, args.size)
     status, model, reason = run_task(task, args.solver or _default_solver(), args.timeout)
     if status == ERROR:
         print(f"ERROR: {reason}", file=sys.stderr)
@@ -205,7 +208,7 @@ def _cmd_grid(args) -> int:
     outcome = run_grid(tasks, config)
     for result in outcome.results:
         extra = f" ({result.reason})" if result.reason else ""
-        flag = " [expected UNSAT]" if result.expect_unsat else ""
+        flag = " [expected UNSAT]" if expects_unsat(result.task) else ""
         print(f"{result.task.describe():50s} {result.status}{flag}{extra}")
     sat = [r for r in outcome.results if r.status == SAT]
     print(f"{len(outcome.results)} results, {len(sat)} SAT, "
@@ -219,13 +222,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    try:
-        task = SearchTask(args.size, _parse_assume(args.assume, args.distributive),
-                          args.refute)
-        cnf = encode_search(task, EncodeOptions(symmetry=not args.no_symmetry))
-    except ValueError as exc:
-        print(f"invalid task: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cnf = encode_search(_task(args, args.size), EncodeOptions(symmetry=not args.no_symmetry))
     try:
         write_dimacs_file(cnf, args.dimacs)
     except OSError as exc:
@@ -297,6 +294,9 @@ def main(argv=None) -> int:
                 for sig in (signal.SIGTERM, signal.SIGHUP)}
     try:
         return handlers[args.command](args)
+    except _InvalidTask as exc:
+        print(f"invalid task: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ConfigError, BoundExceeded) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE

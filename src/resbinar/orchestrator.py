@@ -1,10 +1,13 @@
 """Grid construction and parallel execution of independence experiments.
 
-A goal is one independence question: can the target identity fail while
-the assumptions hold?  Goals run their sizes in ascending order, so the
-first SAT is the minimal witness within the range; different goals run
-concurrently.  The coordinator is the single writer of the result file and
-re-verifies every claimed model before recording it.
+A grid is a list of distinct `SearchTask`s.  A goal, which `goal_of`
+names, is one independence question: can the target identity fail while
+the assumptions hold?  It is a task without its size; LD is one of the
+assumptions, so a subset with and without LD makes two goals.  Goals run
+their sizes in ascending order, so the first SAT is the minimal witness
+within the range; different goals run concurrently.  The coordinator is
+the single writer of the result file and re-verifies every claimed model
+before recording it.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
 leads its own process group.  This is the package's one time limit: at the
@@ -75,6 +78,17 @@ def implication_closure(identities: Iterable[str]) -> frozenset[str]:
     return frozenset(closed)
 
 
+def goal_of(task: SearchTask) -> tuple[str, tuple[str, ...]]:
+    """The question a task asks at its size: (target, sorted assumptions)."""
+    return task.refute or "none", tuple(sorted(task.assume))
+
+
+def expects_unsat(task: SearchTask) -> bool:
+    """Whether RULES rule out every model: LD is assumed and the target
+    follows from the other assumptions."""
+    return "LD" in task.assume and task.refute in implication_closure(task.assume - {"LD"})
+
+
 @dataclass(frozen=True)
 class GridConfig:
     targets: tuple[str, ...] = DISTRIBUTIVITY_NAMES
@@ -115,20 +129,8 @@ class GridConfig:
 
 
 @dataclass(frozen=True)
-class GridTask:
-    """One solver invocation: a task plus its goal bookkeeping."""
-
-    task: SearchTask
-    ld: str  # "assume" | "omit"
-    expect_unsat: bool
-    goal: tuple
-
-
-@dataclass(frozen=True)
 class SearchResult:
     task: SearchTask
-    ld: str
-    expect_unsat: bool
     status: str
     model: FiniteBinar | None
     seconds: float
@@ -141,8 +143,8 @@ class SearchResult:
                 "size": self.task.size,
                 "assume": sorted(self.task.assume),
                 "refute": self.task.refute,
-                "ld": self.ld,
-                "expect_unsat": self.expect_unsat,
+                "ld": "assume" if "LD" in self.task.assume else "omit",
+                "expect_unsat": expects_unsat(self.task),
             },
             "status": self.status,
             "seconds": round(self.seconds, 3),
@@ -169,8 +171,6 @@ class SearchResult:
                 raise ValueError(f"status {status!r} {has} a model")
             return cls(
                 task=task,
-                ld=spec.get("ld", "omit"),
-                expect_unsat=bool(spec.get("expect_unsat", False)),
                 status=status,
                 model=None if model is None else binar_from_dict(model),
                 seconds=float(record.get("seconds", 0.0)),
@@ -184,38 +184,37 @@ class SearchResult:
 @dataclass
 class GridOutcome:
     results: list[SearchResult] = field(default_factory=list)
-    violations: list[SearchResult] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+
+    @property
+    def violations(self) -> list[SearchResult]:
+        """The SAT answers to tasks expected UNSAT."""
+        return [r for r in self.results if r.status == SAT and expects_unsat(r.task)]
 
     @property
     def ok(self) -> bool:
         return not self.violations and not self.errors
 
 
-def build_grid(config: GridConfig) -> list[GridTask]:
-    """Cross product of targets, assumption subsets, LD modes and sizes."""
-    ld_modes = ("assume", "omit") if config.ld == "both" else (config.ld,)
-    tasks: list[GridTask] = []
+def build_grid(config: GridConfig) -> list[SearchTask]:
+    """Cross product of targets, assumption subsets, LD modes and sizes,
+    each distinct task once."""
+    ld_modes = {"assume": [{"LD"}], "omit": [set()], "both": [{"LD"}, set()]}[config.ld]
+    tasks: dict[SearchTask, None] = {}
     for target in config.targets:
         if config.policy == "all-others":
             subsets = [frozenset(d for d in DISTRIBUTIVITY_NAMES if d != target)]
         else:
-            subsets = list(config.subsets)
+            subsets = config.subsets
         for subset in subsets:
             if target in subset:
                 raise ConfigError(f"target {target} inside assumption subset")
             for ld in ld_modes:
-                assume = frozenset(subset) | ({"LD"} if ld == "assume" else frozenset())
-                expect = ld == "assume" and target in implication_closure(subset)
-                goal = (target, tuple(sorted(assume)), ld)
                 for size in range(config.min_size, config.max_size + 1):
-                    tasks.append(
-                        GridTask(SearchTask(size, assume, target), ld, expect, goal)
-                    )
-    tasks.sort(key=lambda gt: (
-        DISTRIBUTIVITY_NAMES.index(gt.goal[0]), gt.goal[1], gt.ld, gt.task.size
+                    tasks[SearchTask(size, subset | ld, target)] = None
+    return sorted(tasks, key=lambda t: (
+        DISTRIBUTIVITY_NAMES.index(t.refute), sorted(t.assume), t.size
     ))
-    return tasks
 
 
 # --- persistence ---------------------------------------------------------------
@@ -366,7 +365,7 @@ def run_task(task: SearchTask, solver_spec: str,
     return _verdict(task, payload)
 
 
-def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
+def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     """Dispatch tasks to worker processes; single-writer, resumable.
 
     A rerun into the same directory replays the recorded SAT and UNSAT
@@ -384,75 +383,69 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
     if path.exists():
         _end_last_line(path)
 
-    pending: dict[tuple, list[GridTask]] = {}  # per goal, smallest size first
-    for gt in tasks:
-        pending.setdefault(gt.goal, []).append(gt)
+    pending: dict[tuple, list[SearchTask]] = {}  # per goal, smallest size first
+    for task in dict.fromkeys(tasks):
+        pending.setdefault(goal_of(task), []).append(task)
     for queue in pending.values():
-        queue.sort(key=lambda gt: gt.task.size)
-
-    def note(result: SearchResult) -> None:
-        outcome.results.append(result)
-        if result.expect_unsat and result.status == SAT:
-            outcome.violations.append(result)
+        queue.sort(key=lambda task: task.size)
 
     def record(result: SearchResult) -> None:
         persist_result(result, config.out_dir)
-        note(result)
+        outcome.results.append(result)
 
-    def cancel(gt: GridTask, sat_size: int) -> None:
+    def cancel(task: SearchTask, sat_size: int) -> None:
         record(SearchResult(
-            task=gt.task, ld=gt.ld, expect_unsat=gt.expect_unsat,
-            status=UNKNOWN, model=None, seconds=0.0, solver=config.solver,
-            reason=f"{_CANCELLED} {sat_size}",
+            task=task, status=UNKNOWN, model=None, seconds=0.0,
+            solver=config.solver, reason=f"{_CANCELLED} {sat_size}",
         ))
 
     for queue in pending.values():
-        fresh: list[GridTask] = []
+        fresh: list[SearchTask] = []
         sat_size = None
-        for gt in queue:
-            prior = existing.get(gt.task.key())
+        for task in queue:
+            prior = existing.get(task.key())
             if prior is not None and (
                 prior.status in (SAT, UNSAT)
                 or (sat_size is not None and (prior.reason or "").startswith(_CANCELLED))
             ):
-                note(prior)
+                outcome.results.append(prior)
                 if prior.status == SAT and sat_size is None:
-                    sat_size = gt.task.size
+                    sat_size = task.size
             elif sat_size is not None:
-                cancel(gt, sat_size)
+                cancel(task, sat_size)
             else:
-                fresh.append(gt)
+                fresh.append(task)
         queue[:] = fresh
 
-    in_flight: dict = {}  # worker connection -> (grid task, worker)
+    in_flight: dict = {}  # worker connection -> (task, worker)
 
     def dispatch() -> None:
-        busy = {gt.goal for gt, _ in in_flight.values()}
+        busy = {goal_of(task) for task, _ in in_flight.values()}
         for goal, queue in pending.items():
             if len(in_flight) >= config.workers:
                 return
             if queue and goal not in busy:
-                gt = queue.pop(0)
-                worker = _Worker(gt.task, config.solver)
-                in_flight[worker.conn] = (gt, worker)
+                task = queue.pop(0)
+                worker = _Worker(task, config.solver)
+                in_flight[worker.conn] = (task, worker)
 
-    def finish(gt: GridTask, worker: _Worker, status, model, reason, seconds) -> None:
+    def finish(task: SearchTask, worker: _Worker, status, model, reason, seconds) -> None:
         worker.stop()
         del in_flight[worker.conn]
         if status == FAIL:
             reason = "model failed verification: " + reason.replace("\n", "; ")
         if status in (ERROR, FAIL):
-            outcome.errors.append(f"{gt.task.describe()}: {reason}")
+            outcome.errors.append(f"{task.describe()}: {reason}")
             status = UNKNOWN
-        result = SearchResult(
-            task=gt.task, ld=gt.ld, expect_unsat=gt.expect_unsat, status=status,
-            model=model, seconds=seconds, solver=config.solver, reason=reason,
-        )
-        record(result)
+        record(SearchResult(
+            task=task, status=status, model=model, seconds=seconds,
+            solver=config.solver, reason=reason,
+        ))
         if status == SAT:  # the goal is answered: cancel its larger sizes
-            for rest in pending[gt.goal]:
-                cancel(rest, gt.task.size)
-            pending[gt.goal].clear()
+            queue = pending[goal_of(task)]
+            for rest in queue:
+                cancel(rest, task.size)
+            queue.clear()
 
     try:
         dispatch()
@@ -462,15 +455,15 @@ def run_grid(tasks: Iterable[GridTask], config: GridConfig) -> GridOutcome:
                 first = min(w.started for _, w in in_flight.values())
                 wait = max(0.0, first + config.timeout - time.monotonic())
             for conn in conn_wait(list(in_flight), timeout=wait):
-                gt, worker = in_flight[conn]
+                task, worker = in_flight[conn]
                 payload = worker.receive()
                 seconds = (payload or {}).get("seconds", time.monotonic() - worker.started)
-                finish(gt, worker, *_verdict(gt.task, payload), seconds)
+                finish(task, worker, *_verdict(task, payload), seconds)
             if config.timeout is not None:
                 now = time.monotonic()
-                for gt, worker in list(in_flight.values()):
+                for task, worker in list(in_flight.values()):
                     if now >= worker.started + config.timeout:
-                        finish(gt, worker, UNKNOWN, None,
+                        finish(task, worker, UNKNOWN, None,
                                f"timeout after {config.timeout}s", now - worker.started)
             dispatch()
     finally:

@@ -11,8 +11,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .algebra import FiniteBinar, UnknownOp, covering_relation, derive_order
-from .orchestrator import SearchResult
-from .solver import SAT
+from .orchestrator import SearchResult, goal_of
+from .solver import SAT, UNKNOWN
 from .terms import OPS
 
 _OP_TEX = {
@@ -42,8 +42,9 @@ def cayley_latex(b: FiniteBinar, op: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ranks(b: FiniteBinar) -> tuple[list[int], list[tuple[int, int]]]:
-    """Longest-chain-from-bottom rank per element, plus covering edges."""
+def _ranks(b: FiniteBinar) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The elements of each longest-chain-from-bottom rank, lowest rank
+    first, plus covering edges."""
     order = derive_order(b)
     covers = list(covering_relation(order))
     n = b.size
@@ -55,21 +56,21 @@ def _ranks(b: FiniteBinar) -> tuple[list[int], list[tuple[int, int]]]:
             if rank[high] < rank[low] + 1:
                 rank[high] = rank[low] + 1
                 changed = True
-    return rank, covers
+    # every rank up to the highest is held: a cover below steps down by one
+    levels: list[list[int]] = [[] for _ in range(max(rank) + 1)]
+    for v in range(n):
+        levels[rank[v]].append(v)
+    return levels, covers
 
 
 def hasse_dot(b: FiniteBinar) -> str:
     """Covering relation as a DOT digraph drawn bottom-up."""
-    rank, covers = _ranks(b)
+    levels, covers = _ranks(b)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=circle];"]
     for v in range(b.size):
         lines.append(f"  {v};")
-    levels = defaultdict(list)
-    for v in range(b.size):
-        levels[rank[v]].append(v)
-    for level in sorted(levels):
-        members = " ".join(f"{v};" for v in levels[level])
-        lines.append("  { rank=same; " + members + " }")
+    for members in levels:
+        lines.append("  { rank=same; " + " ".join(f"{v};" for v in members) + " }")
     for low, high in covers:
         lines.append(f"  {low} -> {high};")
     lines.append("}")
@@ -78,18 +79,14 @@ def hasse_dot(b: FiniteBinar) -> str:
 
 def hasse_tikz(b: FiniteBinar) -> str:
     """Covering relation as a standalone-compilable TikZ picture."""
-    rank, covers = _ranks(b)
-    levels = defaultdict(list)
-    for v in range(b.size):
-        levels[rank[v]].append(v)
+    levels, covers = _ranks(b)
     lines = [
         r"\documentclass{standalone}",
         r"\usepackage{tikz}",
         r"\begin{document}",
         r"\begin{tikzpicture}[every node/.style={circle,draw,inner sep=2pt}]",
     ]
-    for level in sorted(levels):
-        members = levels[level]
+    for level, members in enumerate(levels):
         for i, v in enumerate(members):
             x = (i - (len(members) - 1) / 2) * 1.5
             lines.append(f"  \\node (n{v}) at ({x:g},{level * 1.2:g}) {{{v}}};")
@@ -99,12 +96,8 @@ def hasse_tikz(b: FiniteBinar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _goal_key(result: SearchResult) -> tuple:
-    return (result.task.refute or "none", tuple(sorted(result.task.assume)), result.ld)
-
-
 def _goal_slug(key: tuple) -> str:
-    target, assume, _ld = key
+    target, assume = key
     source = "-".join(assume) if assume else "nothing"
     return f"{target}_from_{source}"
 
@@ -117,7 +110,7 @@ def report_bundle(results: Iterable[SearchResult], directory: str | Path) -> lis
 
     by_goal: dict[tuple, list[SearchResult]] = defaultdict(list)
     for result in results:
-        by_goal[_goal_key(result)].append(result)
+        by_goal[goal_of(result.task)].append(result)
 
     summary = [
         r"\section*{Independence grid summary}",
@@ -133,13 +126,13 @@ def report_bundle(results: Iterable[SearchResult], directory: str | Path) -> lis
         ]
     for key in sorted(by_goal):
         rows = sorted(by_goal[key], key=lambda r: r.task.size)
-        target, assume, ld = key
+        target, assume = key
         slug = _goal_slug(key)
         witness = next((r for r in rows if r.status == SAT), None)
         if witness is not None:
             status, size_text, note = "SAT", str(witness.task.size), "countermodel found"
-        elif any(r.status == "UNKNOWN" for r in rows):
-            budget = next((r.reason or "" for r in rows if r.status == "UNKNOWN"), "")
+        elif any(r.status == UNKNOWN for r in rows):
+            budget = next((r.reason or "" for r in rows if r.status == UNKNOWN), "")
             status, size_text, note = "UNKNOWN", "-", budget or "undecided"
         else:
             status, size_text, note = "UNSAT", "-", "no model in range"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import time
@@ -12,14 +13,16 @@ from resbinar.encoder import SearchTask
 from resbinar.orchestrator import (
     ConfigError,
     GridConfig,
-    GridTask,
     SearchResult,
     build_grid,
+    expects_unsat,
+    goal_of,
     implication_closure,
     load_results,
     persist_result,
     run_grid,
 )
+from resbinar.reporting import report_bundle
 from resbinar.terms import DISTRIBUTIVITY_NAMES, builtin
 
 from conftest import (
@@ -80,8 +83,8 @@ def test_default_grid_is_54_tasks():
     # six targets, the all-others subset, LD omitted, sizes 2..10
     tasks = build_grid(GridConfig())
     assert len(tasks) == 54
-    assert all(not t.expect_unsat for t in tasks)
-    assert all(len(t.task.assume) == 5 for t in tasks)
+    assert all(not expects_unsat(t) for t in tasks)
+    assert all(len(t.assume) == 5 for t in tasks)
 
 
 def test_grid_expect_unsat_marking():
@@ -92,13 +95,10 @@ def test_grid_expect_unsat_marking():
     )
     tasks = build_grid(config)
     assert len(tasks) == 2 * 2 * 2
+    assert sum("LD" in t.assume for t in tasks) == 4
     for t in tasks:
-        should = t.ld == "assume" and t.task.assume >= {"D4", "D5"}
-        assert t.expect_unsat == should
-        if t.ld == "assume":
-            assert "LD" in t.task.assume
-        else:
-            assert "LD" not in t.task.assume
+        should = "LD" in t.assume and t.assume >= {"D4", "D5"}
+        assert expects_unsat(t) == should
 
 
 def test_grid_rejects_target_inside_subset():
@@ -113,7 +113,7 @@ def test_grid_sorted_small_sizes_first_per_goal():
     tasks = build_grid(GridConfig(min_size=2, max_size=5))
     by_goal = {}
     for t in tasks:
-        by_goal.setdefault(t.goal, []).append(t.task.size)
+        by_goal.setdefault(goal_of(t), []).append(t.size)
     for sizes in by_goal.values():
         assert sizes == sorted(sizes)
 
@@ -123,8 +123,6 @@ def result_fixture(with_model):
     model = make_binar(meet, join, meet) if with_model else None
     return SearchResult(
         task=SearchTask.make(2, assume=("D1", "LD"), refute="D2"),
-        ld="assume",
-        expect_unsat=False,
         status="SAT" if with_model else "UNSAT",
         model=model,
         seconds=0.25,
@@ -141,7 +139,7 @@ def test_search_result_record_roundtrip():
         assert back.task == original.task
         assert back.status == original.status
         assert back.model == original.model
-        assert back.ld == "assume" and back.expect_unsat is False
+        assert record["task"]["ld"] == "assume" and record["task"]["expect_unsat"] is False
 
 
 def test_persist_and_load(tmp_path):
@@ -305,20 +303,17 @@ def test_run_grid_parallel_workers(tmp_path):
     assert len(outcome.results) == len(tasks) == 6
 
 
-def test_run_grid_flags_expect_unsat_violation(tmp_path):
-    # A task marked expect-UNSAT that solves SAT must be surfaced, not
-    # silently recorded.  D3 alone does not imply D4 without LD at size 5,
-    # so fake the marking through a hand-built GridTask.
-    task = SearchTask.make(2, assume=(), refute=None)
-    gt = GridTask(task=task, ld="omit", expect_unsat=True, goal=("D1", (), "omit"))
-    config = GridConfig(
-        targets=("D1",), policy="explicit", subsets=(frozenset(),),
-        ld="omit", min_size=2, max_size=2, solver=ENGINE,
-        out_dir=tmp_path,
+def test_run_grid_flags_expect_unsat_violation(tmp_path, monkeypatch):
+    # A task expected UNSAT that solves SAT must be surfaced, not silently
+    # recorded.  Under the false rule {D4} |- D3, refuting D3 from D4 with
+    # LD at n = 4 is expected UNSAT, yet it has a countermodel.
+    monkeypatch.setattr(resbinar.orchestrator, "RULES", ((frozenset({"D4"}), "D3"),))
+    config, tasks, outcome = grid_to_completion(
+        tmp_path, subsets=(frozenset({"D4"}),), min_size=4, max_size=4
     )
-    outcome = run_grid([gt], config)
+    assert [r.status for r in outcome.results] == ["SAT"]
     assert not outcome.ok
-    assert outcome.violations
+    assert outcome.violations == outcome.results
 
 
 def test_run_grid_timeout_returns_unknown(tmp_path):
@@ -376,3 +371,70 @@ def test_interrupted_run_grid_leaves_no_process(tmp_path, monkeypatch):
         assert gone(read_pid(pid_file))
     finally:
         kill_leftovers(pid_file)
+
+
+def pinned_grid(out_dir):
+    """Target D3 over {} and {D4} in both LD modes at n = 2..5, then over
+    {D4, D5} with LD at n = 2..4, one worker, bundled solver: SAT at n = 4,
+    cancelled n = 5 records and expected-UNSAT goals, all in one directory."""
+    for subsets, ld, max_size in (
+        ((frozenset(), frozenset({"D4"})), "both", 5),
+        ((frozenset({"D4", "D5"}),), "assume", 4),
+    ):
+        config = GridConfig(
+            targets=("D3",), policy="explicit", subsets=subsets, ld=ld,
+            min_size=2, max_size=max_size, workers=1, solver="builtin",
+            out_dir=out_dir,
+        )
+        outcome = run_grid(build_grid(config), config)
+        assert outcome.ok, outcome.errors
+
+
+# SHA-256 of the records (without `seconds`) and of the report bundle
+# that pinned_grid leaves; any change to what a grid writes shows here.
+GRID_RECORDS_DIGEST = "5f1d8d92c1ea313f0bb920a830e17a0563846dd8f131c9730b40fe40c37ddc06"
+GRID_REPORT_DIGEST = "51d21012e4fbece9ae4c0948c0b58f547f7c0b36691ecc22ced940747f854dc3"
+
+
+def test_grid_records_and_report_are_pinned(tmp_path):
+    pinned_grid(tmp_path)
+    records = []
+    for line in (tmp_path / "results.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        del record["seconds"]
+        records.append(json.dumps(record, sort_keys=True))
+    assert len(records) == 19
+    report = tmp_path / "report"
+    written = report_bundle(load_results(tmp_path), report)
+    assert len(written) == 29
+    bundle = hashlib.sha256()
+    for path in sorted(written):
+        bundle.update(str(path.relative_to(report)).encode() + b"\0")
+        bundle.update(path.read_bytes() + b"\0")
+    digests = (hashlib.sha256("\n".join(records).encode()).hexdigest(), bundle.hexdigest())
+    assert digests == (GRID_RECORDS_DIGEST, GRID_REPORT_DIGEST)
+
+
+def test_grid_runs_a_repeated_subset_once(tmp_path):
+    # the repeated subset names the same three tasks twice: each is solved
+    # and recorded once, so the n = 4 SAT is not shadowed by its twin's
+    # cancellation, and a rerun appends nothing
+    config, tasks, outcome = grid_to_completion(
+        tmp_path, subsets=(frozenset({"D4"}),) * 2, max_size=4, solver="builtin"
+    )
+    assert outcome.ok, outcome.errors
+    assert len(tasks) == len(set(tasks)) == 3
+    path = tmp_path / "results.jsonl"
+    assert path.read_text().count("\n") == 3
+    assert [(r.task.size, r.status) for r in load_results(tmp_path)] == [
+        (2, "UNSAT"), (3, "UNSAT"), (4, "SAT")
+    ]
+    assert run_grid(tasks, config).ok
+    assert path.read_text().count("\n") == 3
+    # run_grid, too, runs a task it is given twice once
+    twice = dataclasses.replace(config, out_dir=tmp_path / "twice")
+    assert run_grid(tasks + tasks, twice).ok
+    assert [r.status for r in load_results(twice.out_dir)] == ["UNSAT", "UNSAT", "SAT"]
+    assert (twice.out_dir / "results.jsonl").read_text().count("\n") == 3
+    # likewise a repeated target: the default grid's nine D3 tasks, once each
+    assert len(build_grid(GridConfig(targets=("D3", "D3")))) == 9

@@ -65,11 +65,9 @@ def test_renderers_are_deterministic(m3_zero):
     assert cayley_latex(m3_zero, "mult") == cayley_latex(m3_zero, "mult")
 
 
-def sat_result(model, refute, assume, ld="omit", size=None):
+def sat_result(model, refute, assume, size=None):
     return SearchResult(
         task=SearchTask.make(size or model.size, assume=assume, refute=refute),
-        ld=ld,
-        expect_unsat=False,
         status="SAT",
         model=model,
         seconds=0.1,
@@ -77,11 +75,9 @@ def sat_result(model, refute, assume, ld="omit", size=None):
     )
 
 
-def unsat_result(size, refute, assume, ld="omit"):
+def unsat_result(size, refute, assume):
     return SearchResult(
         task=SearchTask.make(size, assume=assume, refute=refute),
-        ld=ld,
-        expect_unsat=False,
         status="UNSAT",
         model=None,
         seconds=0.1,
@@ -117,8 +113,6 @@ def test_report_bundle_empty(tmp_path):
 def test_report_bundle_unknown_note(tmp_path):
     result = SearchResult(
         task=SearchTask.make(7, refute="D5", assume=("D1",)),
-        ld="omit",
-        expect_unsat=False,
         status="UNKNOWN",
         model=None,
         seconds=1.0,
