@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .algebra import (
-    are_isomorphic,
     binar_to_dict,
+    canonical_form,
     check_identity,
     load_model,
     save_model,
@@ -86,20 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Search for residuated binars separating distributivity identities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--size", type=int, required=True, help="number of elements")
+    task = argparse.ArgumentParser(add_help=False)
+    task.add_argument("--assume", help="comma-separated identities that must hold")
+    task.add_argument("--refute", help="identity that must fail")
+    task.add_argument("--distributive", action="store_true",
+                      help="also assume the lattice distributivity identity LD")
 
-    p = sub.add_parser("check", help="verify a model file")
+    p = sub.add_parser("check", parents=[task], help="verify a model file")
     p.add_argument("model", help="model JSON file")
-    p.add_argument("--assume", help="comma-separated identities that must hold")
-    p.add_argument("--refute", help="identity that must fail")
-    p.add_argument("--distributive", action="store_true",
-                   help="also require the lattice distributivity identity")
 
-    p = sub.add_parser("search", help="solve one search task")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--refute")
-    p.add_argument("--assume")
-    p.add_argument("--distributive", action="store_true",
-                   help="assume the lattice distributivity identity")
+    p = sub.add_parser("search", parents=[sized, task], help="solve one search task")
     p.add_argument("--solver", default=None, help="builtin | pysat:<engine> | command with {file}")
     p.add_argument("--timeout", type=float, help="seconds before the task's worker is killed")
     p.add_argument("--out", help="write the model JSON here on SAT")
@@ -114,11 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=None)
     p.add_argument("--timeout", type=float, help="seconds before a task's worker is killed")
 
-    p = sub.add_parser("encode", help="emit the CNF for one task")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--refute")
-    p.add_argument("--assume")
-    p.add_argument("--distributive", action="store_true")
+    p = sub.add_parser("encode", parents=[sized, task], help="emit the CNF for one task")
     p.add_argument("--dimacs", required=True, help="output DIMACS file")
     p.add_argument("--no-symmetry", action="store_true",
                    help="omit symmetry-breaking clauses")
@@ -127,8 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
 
-    p = sub.add_parser("enumerate", help="exhaustive oracle enumeration")
-    p.add_argument("--size", type=int, required=True)
+    p = sub.add_parser("enumerate", parents=[sized], help="exhaustive oracle enumeration")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument("--lattices", action="store_true",
@@ -262,15 +255,19 @@ def _cmd_enumerate(args) -> int:
         if args.count_only and not args.up_to_iso:
             print(count_models(args.size))
             return EXIT_OK
-        models = []
+        forms = set()
+        count = 0
         for binar in enumerate_residuated_binars(args.size):
-            if args.up_to_iso and any(are_isomorphic(binar, seen) for seen in models):
-                continue
-            models.append(binar)
+            if args.up_to_iso:
+                form, _ = canonical_form(binar.ops())
+                if form in forms:
+                    continue
+                forms.add(form)
+            count += 1
             if not args.count_only:
                 print(json.dumps(binar_to_dict(binar)))
         if args.count_only:
-            print(len(models))
+            print(count)
         return EXIT_OK
     except BoundExceeded as exc:
         print(f"out of range: {exc}", file=sys.stderr)

@@ -73,8 +73,8 @@ class SearchTask:
     refute: str | None = None
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be positive")
+        if type(self.size) is not int or self.size < 1:
+            raise ValueError(f"size must be a positive int: {self.size!r}")
         if self.size > ENCODING_CEILING:
             raise SizeOverflow(f"size {self.size} beyond ceiling {ENCODING_CEILING}")
         names = frozenset(_canonical_name(a) for a in self.assume)

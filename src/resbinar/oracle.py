@@ -2,11 +2,12 @@
 
 Lattices are enumerated as the partial orders refined by the numeric order
 0 < 1 < ... < n-1, kept where `algebra.lattice_tables` finds every meet and
-join, and then relabeled for the labeled catalogue.  Residuated binars are
-enumerated exhaustively, for n <= EXHAUSTIVE_BOUND, per lattice by choosing
-mult tables; residuals are derived from mult and the order, never
-enumerated, so a size-n search touches n^(n^2) tables per lattice instead
-of n^(3n^2).
+join, and sorted into classes by `algebra.canonical_form`, the first one met
+standing for its class; the labeled catalogue is every relabeling of those
+class representatives.  Residuated binars are enumerated exhaustively, for
+n <= EXHAUSTIVE_BOUND, per lattice by choosing mult tables; residuals are
+derived from mult and the order, never enumerated, so a size-n search
+touches n^(n^2) tables per lattice instead of n^(3n^2).
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from .algebra import (
     FiniteBinar,
     Table,
     _residual,
+    canonical_form,
     check_identity,
     derive_residuals,
     lattice_tables,
     order_from_tables,
-    table_isomorphism,
+    relabel,
 )
 from .terms import IDENTITY_NAMES, Identity, builtin
 
@@ -67,16 +69,6 @@ def _natural_orders(n: int) -> Iterator[tuple[int, ...]]:
     yield from place(n - 1)
 
 
-def _permute_table(table: Table, perm: tuple[int, ...]) -> Table:
-    n = len(table)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(
-        tuple(perm[table[inv[x]][inv[y]]] for y in range(n)) for x in range(n)
-    )
-
-
 def enumerate_lattices(
     n: int, up_to_iso: bool = False
 ) -> tuple[tuple[Table, Table], ...]:
@@ -86,26 +78,19 @@ def enumerate_lattices(
         raise BoundExceeded(f"lattice enumeration supports 1 <= n <= {LATTICE_BOUND}")
     # the leq row of x is the bitmask of its up-set, x included
     rows = [tuple(bool(mask >> y & 1) for y in range(n)) for mask in range(1 << n)]
-    natural = []
+    classes: dict[tuple[Table, ...], tuple[Table, Table]] = {}
     for ups in _natural_orders(n):
         tables = lattice_tables(tuple(rows[ups[x] | 1 << x] for x in range(n)))
         if tables is not None:
-            natural.append(tables)
+            form, _ = canonical_form({"meet": tables[0], "join": tables[1]})
+            classes.setdefault(form, tables)
     if up_to_iso:
-        reps: list[tuple[Table, Table]] = []
-        for meet, join in natural:
-            ops = {"meet": meet, "join": join}
-            if not any(
-                table_isomorphism(n, ops, {"meet": m, "join": j}) is not None
-                for m, j in reps
-            ):
-                reps.append((meet, join))
-        return tuple(sorted(reps))
-    labeled = set()
-    for meet, join in natural:
-        for perm in itertools.permutations(range(n)):
-            labeled.add((_permute_table(meet, perm), _permute_table(join, perm)))
-    return tuple(sorted(labeled))
+        return tuple(sorted(classes.values()))
+    return tuple(sorted({
+        (relabel(meet, perm), relabel(join, perm))
+        for meet, join in classes.values()
+        for perm in itertools.permutations(range(n))
+    }))
 
 
 def _residuable_lines(n: int, leq: tuple[tuple[bool, ...], ...], join: Table):

@@ -112,6 +112,8 @@ class GridConfig:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.policy == "explicit" and not self.subsets:
             raise ConfigError("explicit policy needs assumption subsets")
+        if self.policy == "all-others" and self.subsets:
+            raise ConfigError("assumption subsets need policy='explicit'")
         for sub in self.subsets:
             for name in sub:
                 if name not in DISTRIBUTIVITY_NAMES:
@@ -161,9 +163,7 @@ class SearchResult:
         """The result a parsed JSONL line holds; ValueError if it holds none."""
         try:
             spec = record["task"]
-            task = SearchTask(
-                int(spec["size"]), frozenset(spec["assume"]), spec.get("refute")
-            )
+            task = SearchTask(spec["size"], frozenset(spec["assume"]), spec.get("refute"))
             status = record["status"]
             model = record.get("model")
             if status not in (SAT, UNSAT, UNKNOWN) or (status == SAT) != (model is not None):

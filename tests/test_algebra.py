@@ -286,12 +286,67 @@ def test_table_isomorphism_relabeled_chain():
         table_isomorphism(2, a, {"meet": a["meet"], "join": a["join"]})
 
 
+def _least_relabeling(n, tables):
+    """The least tuple of relabeled tables, in name order, over all n! perms."""
+    names = sorted(tables)
+    best = None
+    for perm in itertools.permutations(range(n)):
+        form = []
+        for name in names:
+            out = [[0] * n for _ in range(n)]
+            for x in range(n):
+                for y in range(n):
+                    out[perm[x]][perm[y]] = perm[tables[name][x][y]]
+            form.append(tuple(map(tuple, out)))
+        if best is None or tuple(form) < best:
+            best = tuple(form)
+    return best
+
+
+def test_table_isomorphism_agrees_with_brute_force():
+    """Referee: on every pair, self-pairs included, of the labeled lattices
+    at n = 4 and of the residuated binars at n = 3, an isomorphism is found
+    exactly when the brute-force least relabelings agree, and every one
+    found commutes with every table."""
+    from resbinar.oracle import enumerate_lattices, enumerate_residuated_binars
+
+    families = (
+        (4, [{"meet": m, "join": j} for m, j in enumerate_lattices(4)]),
+        (3, [b.ops() for b in enumerate_residuated_binars(3)]),
+    )
+    pairs = 0
+    for n, items in families:
+        keys = [_least_relabeling(n, tables) for tables in items]
+        for i, j in itertools.combinations_with_replacement(range(len(items)), 2):
+            a, b = items[i], items[j]
+            perm = table_isomorphism(n, a, b)
+            assert (perm is None) == (keys[i] != keys[j]), (n, i, j)
+            if perm is not None:
+                assert sorted(perm) == list(range(n))
+                for name in a:
+                    for x in range(n):
+                        for y in range(n):
+                            assert b[name][perm[x]][perm[y]] == perm[a[name][x][y]]
+            pairs += 1
+    assert pairs == 7926
+
+
 def test_finite_binar_validates_shape():
     meet, join = chain_tables(2)
     with pytest.raises(ValueError):
         FiniteBinar(2, meet, join, [[0, 0]], meet, meet)
     with pytest.raises(ValueError):
         FiniteBinar(2, meet, join, [[0, 2], [0, 0]], meet, meet)
+
+
+def test_finite_binar_takes_only_ints():
+    meet, join = chain_tables(2)
+    for bad in (1.9, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="not an int"):
+            FiniteBinar(2, meet, join, [[0, 0], [0, bad]], meet, meet)
+    for size in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="positive int"):
+            FiniteBinar(size, meet, join, meet, meet, meet)
 
 
 def test_table_lookup_unknown_op(two_chain_min):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -56,6 +57,26 @@ def test_check_flags_broken_model(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["check", str(path)]) == 1
     assert "residuation fails" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("path, value", [
+    (("ops", "mult", 1, 1), 1.9),
+    (("ops", "mult", 1, 1), True),
+    (("size",), "2"),
+], ids=["float-entry", "bool-entry", "string-size"])
+def test_check_rejects_a_number_that_is_no_int(tmp_path, capsys, path, value):
+    # 1.9 and true once read as 1, so this model passed
+    meet, join = chain_tables(2)
+    data = binar_to_dict(make_binar(meet, join, meet))
+    *keys, last = path
+    target = data
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(data))
+    assert main(["check", str(model)]) == 2
+    assert capsys.readouterr().err.startswith("cannot load model")
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -322,6 +343,19 @@ def test_enumerate_lattices_up_to_iso(capsys):
     assert main(["enumerate", "--size", "4", "--lattices", "--up-to-iso",
                  "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+# stdout of `resbinar enumerate --size 3 --up-to-iso`, frozen from the
+# pairwise-isomorphism implementation: the first binar of each of the 20
+# classes, in enumeration order.
+ISO_BINARS_3_DIGEST = "0426a2fec134ef777f275c4fac831222e46209cc4348e845ce9f54fbe3d5cb9a"
+
+
+def test_enumerate_binars_up_to_iso_is_as_pinned(capsys):
+    assert main(["enumerate", "--size", "3", "--up-to-iso"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 20
+    assert hashlib.sha256(out.encode()).hexdigest() == ISO_BINARS_3_DIGEST
 
 
 def test_enumerate_models_stream(capsys):

@@ -79,6 +79,22 @@ def test_grid_config_validation():
         GridConfig(subsets=(frozenset({"LD"}),), policy="explicit")
 
 
+def test_grid_config_rejects_subsets_under_all_others():
+    # they were dropped without a word: the task was the all-others one
+    with pytest.raises(ConfigError, match="explicit"):
+        GridConfig(targets=("D3",), subsets=(frozenset({"D4"}),))
+
+
+@pytest.mark.parametrize("size", ["2.5", '"2"', "true"])
+def test_load_results_rejects_a_size_that_is_no_int(tmp_path, size):
+    # "size": 2.5 once read as a task of size 2
+    (tmp_path / "results.jsonl").write_text(
+        '{"task": {"size": %s, "assume": [], "refute": "D1"}, "status": "UNSAT"}\n' % size
+    )
+    with pytest.raises(OSError, match="corrupt result line 1"):
+        load_results(tmp_path)
+
+
 def test_default_grid_is_54_tasks():
     # six targets, the all-others subset, LD omitted, sizes 2..10
     tasks = build_grid(GridConfig())
