@@ -19,6 +19,7 @@ killed, an external solver included, whatever the engine and layer.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing as mp
 import os
 import shutil
@@ -163,19 +164,29 @@ class SearchResult:
         """The result a parsed JSONL line holds; ValueError if it holds none."""
         try:
             spec = record["task"]
+            if isinstance(spec["assume"], str):
+                raise ValueError(f"assume must be a list of names: {spec['assume']!r}")
             task = SearchTask(spec["size"], frozenset(spec["assume"]), spec.get("refute"))
             status = record["status"]
             model = record.get("model")
             if status not in (SAT, UNSAT, UNKNOWN) or (status == SAT) != (model is not None):
                 has = "with" if model is not None else "without"
                 raise ValueError(f"status {status!r} {has} a model")
+            seconds = record.get("seconds", 0.0)
+            if type(seconds) not in (int, float) or not 0 <= seconds < math.inf:
+                raise ValueError(f"seconds must be a finite number >= 0: {seconds!r}")
+            solver, reason = record.get("solver", "?"), record.get("reason")
+            if not isinstance(solver, str):
+                raise ValueError(f"solver must be a string: {solver!r}")
+            if reason is not None and not isinstance(reason, str):
+                raise ValueError(f"reason must be a string: {reason!r}")
             return cls(
                 task=task,
                 status=status,
                 model=None if model is None else binar_from_dict(model),
-                seconds=float(record.get("seconds", 0.0)),
-                solver=record.get("solver", "?"),
-                reason=record.get("reason"),
+                seconds=float(seconds),
+                solver=solver,
+                reason=reason,
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"not a result record: {exc!r}") from None

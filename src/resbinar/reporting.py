@@ -23,6 +23,20 @@ _OP_TEX = {
     "rres": r"/",
 }
 
+# the characters LaTeX gives a meaning in running text, as text
+_TEX_ESCAPES = str.maketrans({
+    "\\": r"\textbackslash{}",
+    "&": r"\&",
+    "%": r"\%",
+    "$": r"\$",
+    "#": r"\#",
+    "_": r"\_",
+    "{": r"\{",
+    "}": r"\}",
+    "~": r"\textasciitilde{}",
+    "^": r"\textasciicircum{}",
+})
+
 
 def cayley_latex(b: FiniteBinar, op: str) -> str:
     """One operation table as a LaTeX tabular with element labels."""
@@ -138,7 +152,7 @@ def report_bundle(results: Iterable[SearchResult], directory: str | Path) -> lis
             status, size_text, note = "UNSAT", "-", "no model in range"
         goal_text = f"refute {target} from " + (", ".join(assume) if assume else "nothing")
         summary.append(
-            f"{goal_text} & {status} & {size_text} & {note} " + r"\\"
+            f"{goal_text} & {status} & {size_text} & {note.translate(_TEX_ESCAPES)} " + r"\\"
         )
         if witness is not None and witness.model is not None:
             goal_dir = directory / slug

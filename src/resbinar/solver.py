@@ -91,63 +91,72 @@ def _answer(cnf: CnfInstance, values: Iterable[bool] | Mapping[int, bool], who: 
     return SolveResult(SAT, assignment=assignment, stats=stats)
 
 
-def _propagate(trail: list[int], qhead: int, value: bytearray, watches: list[list[int]],
-               clauses: list[list[int]], reason: list[int], level: list[int],
-               dl: int) -> tuple[int, int]:
+def _propagate(trail: list[int], qhead: int, value: bytearray, watches: list[list[list[int]]],
+               reason: list[list[int] | None], level: list[int],
+               dl: int) -> tuple[int, list[int] | None]:
     """Unit-propagate the literals trail[qhead:] at decision level dl;
-    returns the new queue head and the index of a falsified clause, or -1.
-    A clause is watched by its first two literals, and an implied literal
-    sits first in its reason clause.  Each watch list is compacted in place,
-    in order."""
+    returns the new queue head and a falsified clause, or None.
+
+    A clause is watched by its first two literals, and watch lists and
+    reasons hold the clause lists themselves.  A visit whose other watch is
+    true only reads.  Any other visit first puts the falsified watch second,
+    then moves that watch to a literal that is not false, or implies the
+    first literal, which then sits first in its reason, or reports the
+    conflict.  A watch that moves is blanked in place, and a list that lost
+    any is compacted once, in order, before it is left.
+    """
     while qhead < len(trail):
         falsified = -trail[qhead]
         qhead += 1
         ws = watches[falsified]
-        kept = i = 0
-        for ci in ws:
+        moved = False
+        i = -1
+        for clause in ws:
             i += 1
-            clause = clauses[ci]
             first = clause[0]
             if first == falsified:
-                first = clause[0] = clause[1]
+                first = clause[1]
+                if value[first]:
+                    continue
+                clause[0] = first
                 clause[1] = falsified
-            if value[first]:
-                ws[kept] = ci
-                kept += 1
+            elif value[first]:
                 continue
             for k in range(2, len(clause)):
                 other = clause[k]
                 if not value[-other]:
                     clause[1] = other
                     clause[k] = falsified
-                    watches[other].append(ci)
+                    watches[other].append(clause)
+                    ws[i] = None
+                    moved = True
                     break
             else:
-                ws[kept] = ci
-                kept += 1
                 if value[-first]:
-                    del ws[kept:i]
-                    return qhead, ci
+                    if moved:
+                        watches[falsified] = [*filter(None, ws)]
+                    return qhead, clause
                 value[first] = 1
-                reason[first] = ci
+                reason[first] = clause
                 level[first] = dl
                 trail.append(first)
-        del ws[kept:]
-    return qhead, -1
+        if moved:
+            watches[falsified] = [*filter(None, ws)]
+    return qhead, None
 
 
-def _analyze(ci: int, trail: list[int], clauses: list[list[int]], reason: list[int],
+def _analyze(conflict: list[int], trail: list[int], reason: list[list[int] | None],
              level: list[int], dl: int, seen: bytearray) -> list[int]:
-    """First-UIP clause of the conflict on clauses[ci] (Marques-Silva &
-    Sakallah, GRASP 1999): resolve backwards along the trail until one
-    literal of level dl is left.  Its negation comes first in the result;
-    the rest are false at lower levels.  Level-0 literals are left out, as
-    they are false for good.  seen is indexed by the true literal and comes
-    back all zero."""
+    """First-UIP clause of a conflict on the falsified clause conflict
+    (Marques-Silva & Sakallah, GRASP 1999): resolve backwards along the
+    trail until one literal of level dl is left.  Its negation comes first
+    in the result; the rest are false at lower levels.  Level-0 literals are
+    left out, as they are false for good.  seen is indexed by the true
+    literal and comes back all zero."""
     learnt = [0]
     pending = 0
     idx = len(trail)
-    lits = clauses[ci]
+    lits = conflict
     while True:
         for q in lits:
             t = -q
@@ -165,7 +174,7 @@ def _analyze(ci: int, trail: list[int], clauses: list[list[int]], reason: list[i
         pending -= 1
         if not pending:
             break
-        lits = clauses[reason[p]][1:]
+        lits = reason[p][1:]
     learnt[0] = -p
     for q in learnt[1:]:
         seen[-q] = 0
@@ -185,17 +194,17 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
     (Een & Sorensson, SAT 2003): in a list of length 2*nvars+1, literal -v
     sits at Python index -v, in the upper half.  value[lit] is 1 when lit is
     true and 0 when it is false or unassigned; level[lit] and reason[lit]
-    hold for a true lit.  Every SAT answer is re-checked against the CNF.
+    hold for a true lit.  Watch lists and reasons hold the clause lists
+    themselves, not indices.  Every SAT answer is re-checked against the CNF.
     """
     start = time.monotonic()
     max_decisions = budget.max_decisions if budget else None
     nvars = cnf.num_vars
 
-    clauses: list[list[int]] = []
-    watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+    watches: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
     value = bytearray(2 * nvars + 1)
     level = [0] * (2 * nvars + 1)
-    reason = [0] * (2 * nvars + 1)
+    reason: list[list[int] | None] = [None] * (2 * nvars + 1)
     seen = bytearray(2 * nvars + 1)
     phase = bytearray(b"\x01") * (nvars + 1)
     trail: list[int] = []
@@ -219,40 +228,40 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
                 value[lit] = 1
                 trail.append(lit)
         else:
-            ci = len(clauses)  # one int object shared by both watches
-            watches[clause[0]].append(ci)
-            watches[clause[1]].append(ci)
-            clauses.append(clause)
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
 
     qhead = 0
     scan_from = 1
     while True:
         dl = len(trail_lim)
-        head, ci = _propagate(trail, qhead, value, watches, clauses, reason, level, dl)
+        head, conflict = _propagate(trail, qhead, value, watches, reason, level, dl)
         propagations += head - qhead
         qhead = head
-        if ci >= 0:
+        if conflict is not None:
             conflicts += 1
             if not dl:
                 return SolveResult(UNSAT, stats=stats())
-            learnt = _analyze(ci, trail, clauses, reason, level, dl, seen)
+            learnt = _analyze(conflict, trail, reason, level, dl, seen)
             unit = learnt[0]
             back = 0
             if len(learnt) > 1:
                 top = max(range(1, len(learnt)), key=lambda k: level[-learnt[k]])
                 learnt[1], learnt[top] = learnt[top], learnt[1]
                 back = level[-learnt[1]]
-                reason[unit] = len(clauses)
-                watches[unit].append(len(clauses))
-                watches[learnt[1]].append(len(clauses))
-                clauses.append(learnt)
+                reason[unit] = learnt
+                watches[unit].append(learnt)
+                watches[learnt[1]].append(learnt)
             mark = trail_lim[back]
             # every variable below a level's decision variable was assigned
             # at a lower level, so the scan resumes at the first one undone
             scan_from = abs(trail[mark])
             for lit in trail[mark:]:
                 value[lit] = 0
-                phase[abs(lit)] = lit > 0
+                if lit > 0:
+                    phase[lit] = 1
+                else:
+                    phase[-lit] = 0
             del trail[mark:], trail_lim[back:]
             qhead = mark
             value[unit] = 1

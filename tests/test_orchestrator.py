@@ -289,18 +289,32 @@ def test_run_grid_resumes_after_a_record_cut_in_half(tmp_path):
     assert path.read_bytes() == broken
 
 
-@pytest.mark.parametrize("line", [
-    "5",
-    '{"task": {"size": null, "assume": [], "refute": null}, "status": "UNSAT"}',
-    '{"task": {"size": 2, "assume": [], "refute": null}, "status": "DONE"}',
-    '{"task": {"size": 2, "assume": [], "refute": null}, "status": "SAT"}',
-], ids=["number", "null-size", "unknown-status", "sat-without-model"])
-def test_run_grid_rejects_a_line_that_is_json_but_no_record(tmp_path, line):
+UNSAT_AT_2 = '{"task": {"size": 2, "assume": [], "refute": null}, "status": "UNSAT"'
+
+
+@pytest.mark.parametrize("line, field", [
+    ("5", None),
+    ('{"task": {"size": null, "assume": [], "refute": null}, "status": "UNSAT"}', None),
+    ('{"task": {"size": 2, "assume": [], "refute": null}, "status": "DONE"}', "status"),
+    ('{"task": {"size": 2, "assume": [], "refute": null}, "status": "SAT"}', "status"),
+    ('{"task": {"size": 2, "assume": "", "refute": null}, "status": "UNSAT"}', "assume"),
+    (UNSAT_AT_2 + ', "seconds": true}', "seconds"),
+    (UNSAT_AT_2 + ', "seconds": "1.5"}', "seconds"),
+    (UNSAT_AT_2 + ', "seconds": NaN}', "seconds"),
+    (UNSAT_AT_2 + ', "seconds": -2}', "seconds"),
+    (UNSAT_AT_2 + ', "solver": ["x"]}', "solver"),
+    (UNSAT_AT_2 + ', "reason": 7}', "reason"),
+], ids=["number", "null-size", "unknown-status", "sat-without-model", "string-assume",
+        "bool-seconds", "string-seconds", "nan-seconds", "negative-seconds",
+        "list-solver", "int-reason"])
+def test_run_grid_rejects_a_line_that_is_json_but_no_record(tmp_path, line, field):
     path = tmp_path / "results.jsonl"
     path.write_text(line + "\n")
     config, tasks, outcome = grid_to_completion(tmp_path, max_size=2, solver="builtin")
     assert not outcome.ok
     assert outcome.errors[0].startswith("corrupt result line 1 ")
+    if field is not None:
+        assert field in outcome.errors[0]
     assert path.read_text() == line + "\n"
     # without its newline the same line is a write cut short: it is cut away
     path.write_text(line)

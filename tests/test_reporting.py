@@ -122,3 +122,22 @@ def test_report_bundle_unknown_note(tmp_path):
     report_bundle([result], tmp_path)
     summary = (tmp_path / "summary.tex").read_text()
     assert "UNKNOWN" in summary and "time budget exceeded" in summary
+
+
+def test_report_bundle_escapes_the_note(tmp_path):
+    reason = r"SolverSpawnError: cannot run 'my_solver': 100% & #1 {x} \ $y ~ ^"
+    result = SearchResult(
+        task=SearchTask.make(3, refute="D5"),
+        status="UNKNOWN",
+        model=None,
+        seconds=1.0,
+        solver="my_solver",
+        reason=reason,
+    )
+    report_bundle([result], tmp_path)
+    row = (tmp_path / "summary.tex").read_text().splitlines()[5]
+    assert row == (
+        r"refute D5 from nothing & UNKNOWN & - & SolverSpawnError: cannot run"
+        r" 'my\_solver': 100\% \& \#1 \{x\} \textbackslash{} \$y"
+        r" \textasciitilde{} \textasciicircum{} \\"
+    )

@@ -130,23 +130,47 @@ def random_3cnf(rng, nvars):
     return cnf
 
 
-def test_builtin_verdicts_match_exhaustive_enumeration():
-    """A referee for the learning kernel: a learned clause the CNF does not
-    imply or a wrong backjump turns up as a wrong verdict somewhere here."""
+def random_mixed_cnf(rng, nvars):
+    """Random CNF of 1- to 5-literal clauses over distinct variables, units
+    and binaries among longer ones as in the encoder's output, 4.8 clauses
+    per variable: for 8 to 14 variables about half are satisfiable."""
+    cnf = CnfInstance(nvars)
+    for _ in range(24 * nvars // 5):
+        width = rng.choices((1, 2, 3, 4, 5), weights=(1, 4, 10, 8, 6))[0]
+        cnf.add_clause([v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, nvars + 1), width)])
+    return cnf
+
+
+def assert_verdicts_match_enumeration(family):
+    """Solve 300 CNFs drawn from family(rng, nvars) and check each verdict
+    by enumeration; both verdicts must be well represented, so that
+    neither side goes untested."""
     rng = random.Random(20260418)
     verdicts = {SAT: 0, UNSAT: 0}
     for _ in range(300):
-        cnf = random_3cnf(rng, rng.randint(8, 14))
+        cnf = family(rng, rng.randint(8, 14))
         res = solve_builtin(cnf)
         assert res.status == (SAT if satisfiable_by_enumeration(cnf) else UNSAT)
         verdicts[res.status] += 1
-    # both verdicts well represented, so neither side goes untested
     assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_builtin_verdicts_match_exhaustive_enumeration():
+    """A referee for the learning kernel: a learned clause the CNF does not
+    imply or a wrong backjump turns up as a wrong verdict somewhere here."""
+    assert_verdicts_match_enumeration(random_3cnf)
     for k in range(1, 6):
         if k <= 3:
             assert not satisfiable_by_enumeration(pigeonhole(k + 1, k))
         assert solve_builtin(pigeonhole(k + 1, k)).status == UNSAT
         assert solve_builtin(pigeonhole(k, k)).status == SAT
+
+
+def test_builtin_verdicts_on_mixed_clause_lengths_match_enumeration():
+    """The referee again, on watch lists that mix units, binaries and long
+    clauses, where a conflict returns from a list that lost watches."""
+    assert_verdicts_match_enumeration(random_mixed_cnf)
 
 
 def test_builtin_decision_budget_yields_unknown():
@@ -245,12 +269,20 @@ SEARCH_PINS = {
     ("n=4 base", False): (
         "SAT", 13, 832,
         "9b52cc463d984f9e4799e2f00576ee6bc08691d839468fd345155f3573f55ced"),
+    # n = 4 LD tasks, symmetry on only; the two UNSAT ones learn about 200
+    # clauses each.  Recorded before watch lists held clauses, not indices
+    ("n=4 D4,D5,LD ⊢ D3", True): ("UNSAT", 336, 48804, None),
+    ("n=4 D6,D2,LD ⊢ D1", True): ("UNSAT", 312, 40523, None),
+    ("n=4 D1,D2,D4,LD ⊢ D3", True): (
+        "SAT", 58, 10596,
+        "2ceba1f48e7b7f170f52c093ea026725fa86a6e941d41e395ecbeef5a91a1da3"),
 }
 
 
 def pinned_searches():
     """Each identity assumed alone and refuted alone at n = 3, the
-    criterion-3 tasks at n = 3 and two tasks at n = 4, symmetry on and off."""
+    criterion-3 tasks at n = 3 and two tasks at n = 4, symmetry on and off,
+    and three LD tasks at n = 4 with symmetry on."""
     tasks = []
     for name in IDENTITY_NAMES:
         tasks.append((f"assume {name}", SearchTask.make(3, assume=(name,))))
@@ -263,6 +295,10 @@ def pinned_searches():
     for label, task in tasks:
         for symmetry in (True, False):
             yield (label, symmetry), encode_search(task, EncodeOptions(symmetry=symmetry))
+    for assume, target in ((("D4", "D5", "LD"), "D3"), (("D6", "D2", "LD"), "D1"),
+                           (("D1", "D2", "D4", "LD"), "D3")):
+        task = SearchTask.make(4, assume=assume, refute=target)
+        yield (f"n=4 {','.join(assume)} ⊢ {target}", True), encode_search(task)
 
 
 def test_builtin_search_is_pinned():
