@@ -197,6 +197,11 @@ def _cmd_grid(args) -> int:
         solver=args.solver or _default_solver(),
         out_dir=args.out,
     )
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     tasks = build_grid(config)
     outcome = run_grid(tasks, config)
     for result in outcome.results:
@@ -235,7 +240,11 @@ def _cmd_report(args) -> int:
     except OSError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    written = report_bundle(results, args.out_dir)
+    try:
+        written = report_bundle(results, args.out_dir)
+    except OSError as exc:
+        print(f"cannot write {args.out_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"{len(written)} files written to {args.out_dir}")
     return EXIT_OK
 

@@ -19,6 +19,12 @@ store in bulk.  add_clause's normalisation runs only where term values can
 overlap: a _force_into call whose target equals an input or that reads an
 op cell which is also an input (the lattice laws), and a refuted tuple
 whose two sides are the same literals.
+
+Without symmetry breaking, every relabeling pi of the carrier maps the
+clause set onto itself: a cell (op, r, c, v) goes to (op, pi[r], pi[c],
+pi[v]), an auxiliary term's literals to those of the relabeled term, and a
+refutation selector to the relabeled tuple's.  Such an encoding exports two generators
+of that group as variable permutations in CnfInstance.symmetries.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteBinar, freeze_table
 from .terms import (
@@ -145,6 +151,13 @@ class CnfInstance:
     encode_search starts as a copy of its size's base clauses from
     _cache_base, which keeps them for the life of the process: 2.5 MiB of
     arrays at n = 7, 8.9 MiB at n = 9.
+
+    symmetries holds variable permutations, each of length num_vars + 1
+    with perm[0] = 0, that map the clause set onto itself (literal sets,
+    with multiplicity; a literal's sign is kept).  The producer guarantees
+    that invariant: encode_search exports the carrier relabelings'
+    generators for an encoding without symmetry breaking, and tests pin
+    them.  solve_builtin checks only each permutation's shape.
     """
 
     def __init__(self, num_vars: int = 0):
@@ -153,6 +166,7 @@ class CnfInstance:
         self._lits = array("i")
         self._ends = array("i")
         self.varmap: VarMap | None = None
+        self.symmetries: tuple[Sequence[int], ...] = ()
 
     @classmethod
     def from_clauses(cls, num_vars: int, clauses: Iterable[Iterable[int]]) -> "CnfInstance":
@@ -251,6 +265,7 @@ class _Encoder:
         self.varmap = VarMap(self.n)
         self.cnf = CnfInstance(num_vars=self.varmap.num_base)
         self.cnf.varmap = self.varmap
+        self.selectors: dict[tuple[int, ...], int] = {}  # refuted tuple -> selector
 
     def build(self) -> CnfInstance:
         lits, ends, self.cnf.num_vars, self.cnf.clause_count, aux = _cache_base(self.n)
@@ -262,7 +277,40 @@ class _Encoder:
             self._refute(builtin(self.task.refute))
         if self.opts.symmetry:
             self.cnf._extend(symmetry_clauses(self.n, self.varmap.leq))
+        else:
+            self.cnf.symmetries = tuple(map(self._lift, carrier_generators(self.n)))
         return self.cnf
+
+    def _lift(self, pi: list[int]) -> array:
+        """The variable permutation a relabeling pi of the carrier induces.
+
+        A literal tuple of a term goes to that of the relabeled term, with
+        the literal for value v moving to the one for pi[v].  Cells come
+        first; auxiliary terms follow in insertion order, which puts each
+        term's arguments before it."""
+        n, vm = self.n, self.varmap
+        perm = array("i", range(self.cnf.num_vars + 1))
+        image: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for op in OPS:
+            for row in range(n):
+                for col in range(n):
+                    src = vm.var(op, row, col, 0)
+                    dst = vm.var(op, pi[row], pi[col], 0)
+                    image[tuple(range(src, src + n))] = tuple(range(dst, dst + n))
+                    for v in range(n):
+                        perm[src + v] = dst + pi[v]
+
+        def move(value):
+            return pi[value] if isinstance(value, int) else image[value]
+
+        for (op, left, right), lits in vm.aux.items():
+            target = vm.aux[(op, move(left), move(right))]
+            image[lits] = target
+            for v, lit in enumerate(lits):
+                perm[lit] = target[pi[v]]
+        for tup, w in self.selectors.items():
+            perm[w] = self.selectors[tuple(pi[a] for a in tup)]
+        return perm
 
     # -- building blocks
 
@@ -365,15 +413,24 @@ class _Encoder:
     def _refute(self, ident: Identity) -> None:
         """Some tuple must witness lhs != rhs: one selector per tuple."""
         names = identity_variables(ident)
-        selectors = []
         for tup in itertools.product(range(self.n), repeat=len(names)):
             env = dict(zip(names, tup))
-            w = self.cnf.new_var()
-            selectors.append(w)
+            w = self.selectors[tup] = self.cnf.new_var()
             lhs = self._flatten(ident.lhs, env)
             rhs = self._flatten(ident.rhs, env)
             self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)], lhs != rhs)
-        self.cnf._extend([tuple(selectors)])
+        self.cnf._extend([tuple(self.selectors.values())])
+
+
+def carrier_generators(n: int) -> list[list[int]]:
+    """The transposition (0 1) and the cycle (0 1 ... n-1) as lists of
+    images; they generate every relabeling of an n-element carrier.  At
+    n = 2 they coincide and one is returned; at n = 1 there is none."""
+    if n < 2:
+        return []
+    swap = [1, 0, *range(2, n)]
+    cycle = [*range(1, n), 0]
+    return [swap] if n == 2 else [swap, cycle]
 
 
 def symmetry_clauses(

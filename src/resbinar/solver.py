@@ -3,7 +3,11 @@
 Three backends share one result type: a bundled pure-Python CDCL that
 works on an air-gapped machine, an in-process pysat engine
 ("pysat:<engine>"), and any external solver that accepts a DIMACS file
-path.  Every SAT answer leaves through `_answer`, which sizes the
+path.  Only the bundled CDCL reads CnfInstance.symmetries, the variable
+permutations an encoding without symmetry breaking exports: it learns
+each conflict once for every image under them, trusting the producer
+that they map the clause set onto itself and checking only their shape.
+Every SAT answer leaves through `_answer`, which sizes the
 assignment to the instance's variables and re-checks it against every
 clause.  No backend keeps a clock: a time limit is the orchestrator's,
 which kills the worker process running the solve.
@@ -181,6 +185,54 @@ def _analyze(conflict: list[int], trail: list[int], reason: list[list[int] | Non
     return learnt
 
 
+def _literal_maps(symmetries, nvars: int) -> list[list[int]]:
+    """Each variable permutation as a map on literals, indexed by literal as
+    value is.  A permutation that is not of length nvars + 1, or not a
+    bijection fixing 0, raises ValueError; that it maps the clause set onto
+    itself is the producer's guarantee."""
+    maps = []
+    for perm in symmetries:
+        perm = list(perm)
+        if len(perm) != nvars + 1 or perm[0] != 0 or sorted(perm) != list(range(nvars + 1)):
+            raise ValueError("a symmetry must be a permutation of the variables "
+                             f"0..{nvars} that fixes 0")
+        maps.append(perm + [-v for v in reversed(perm[1:])])
+    return maps
+
+
+def _orbit(clause: list[int], maps: list[list[int]]) -> list[list[int]]:
+    """The images of clause under the group the literal maps generate,
+    other than clause itself: breadth first over the generators, each
+    literal set once."""
+    seen = {frozenset(clause)}
+    queue = [clause]
+    for known in queue:
+        for lmap in maps:
+            image = [lmap[lit] for lit in known]
+            key = frozenset(image)
+            if key not in seen:
+                seen.add(key)
+                queue.append(image)
+    return queue[1:]
+
+
+def _watch_image(image: list[int], value: bytearray, level: list[int],
+                 watches: list[list[list[int]]]) -> None:
+    """Watch a learned clause's image on two literals that are not false,
+    or on its one true literal and its highest-level false literal.  An
+    image that is unit or false under the current assignment is left out:
+    it is implied by the CNF, so leaving it out loses no answer."""
+    free = [lit for lit in image if not value[-lit]]
+    if len(free) < 2:
+        if not free or not value[free[0]]:
+            return
+        free.append(max((lit for lit in image if lit != free[0]), key=lambda lit: level[-lit]))
+    a, b = free[0], free[1]
+    image[:] = [a, b, *(lit for lit in image if lit != a and lit != b)]
+    watches[a].append(image)
+    watches[b].append(image)
+
+
 def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveResult:
     """Deterministic CDCL with two watched literals per clause.
 
@@ -196,10 +248,24 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
     true and 0 when it is false or unassigned; level[lit] and reason[lit]
     hold for a true lit.  Watch lists and reasons hold the clause lists
     themselves, not indices.  Every SAT answer is re-checked against the CNF.
+
+    Symmetric learning (cf. Devriendt, Bogaerts & Bruynooghe, "Symmetric
+    Explanation Learning", SAT 2017): when cnf.symmetries is not empty,
+    each learned clause is followed by the rest of its orbit under the
+    group those permutations generate, since the CNF implies every image
+    of a clause it implies.  A unit image is asserted at level 0, and one
+    that is false there makes the answer UNSAT; a longer one goes through
+    _watch_image.  That the permutations map the clause set onto itself is
+    the producer's guarantee (see CnfInstance); only their shape is
+    checked, and a bad one raises ValueError.
+
+    The decision budget is tested just before a decision, so a solve with
+    max_decisions=m makes at most m decisions.
     """
     start = time.monotonic()
     max_decisions = budget.max_decisions if budget else None
     nvars = cnf.num_vars
+    maps = _literal_maps(cnf.symmetries, nvars)
 
     watches: list[list[list[int]]] = [[] for _ in range(2 * nvars + 1)]
     value = bytearray(2 * nvars + 1)
@@ -267,15 +333,27 @@ def solve_builtin(cnf: CnfInstance, budget: SolveBudget | None = None) -> SolveR
             value[unit] = 1
             level[unit] = back
             trail.append(unit)
+            if maps:
+                for image in _orbit(learnt, maps):
+                    if len(image) > 1:
+                        _watch_image(image, value, level, watches)
+                        continue
+                    lit = image[0]  # a unit learnt: back is 0
+                    if value[-lit]:
+                        return SolveResult(UNSAT, stats=stats())
+                    if not value[lit]:
+                        value[lit] = 1
+                        level[lit] = 0
+                        trail.append(lit)
             continue
-        if max_decisions is not None and decisions > max_decisions:
-            return SolveResult(UNKNOWN, stats=stats(), reason="decision budget exceeded")
         var = scan_from
         while var <= nvars and (value[var] or value[-var]):
             var += 1
         scan_from = var
         if var > nvars:
             return _answer(cnf, value[1:nvars + 1], "bundled CDCL", stats())
+        if max_decisions is not None and decisions >= max_decisions:
+            return SolveResult(UNKNOWN, stats=stats(), reason="decision budget exceeded")
         decisions += 1
         trail_lim.append(len(trail))
         lit = var if phase[var] else -var

@@ -68,7 +68,14 @@ def verified_model(task, cnf, assignment):
 
 def test_criterion_1_oracle_encoder_equivalence():
     """n in {2,3}: encode+solve agrees with the enumeration oracle on every
-    task in the family; zero tolerance, built-in solver."""
+    task in the family; zero tolerance, built-in solver.
+
+    The encodings have no symmetry breaking, so they export the carrier
+    relabelings and the solver learns each conflict's whole orbit.  An
+    encoder fault that breaks that symmetry can then be masked or turned
+    into a wrong UNSAT by the images, so this criterion no longer referees
+    the encoder alone: test_exported_symmetries_map_the_clauses_onto_themselves
+    in tests/test_encoder.py is part of the referee."""
     checked = 0
     for n in (2, 3):
         for task in family(n):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import resbinar.cli
 import resbinar.orchestrator
 import resbinar.solver
 from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model, verify
@@ -279,6 +280,30 @@ def test_grid_and_report_end_to_end(tmp_path, capsys):
     assert main(["report", "--in", str(results), "--out", str(report_dir)]) == 0
     summary = (report_dir / "summary.tex").read_text()
     assert "refute D3" in summary and "no model in range" in summary
+
+
+def test_grid_reports_an_out_path_it_cannot_write(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "results"
+    started = []
+    monkeypatch.setattr(resbinar.cli, "run_grid", lambda *args: started.append(args))
+    code = main(["grid", "--targets", "D3", "--min-size", "2", "--max-size", "2",
+                 "--solver", "builtin", "--out", str(out)])
+    assert code == 2
+    assert f"cannot write {out}:" in capsys.readouterr().err
+    assert started == []
+
+
+def test_report_reports_an_out_path_it_cannot_write(tmp_path, capsys):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results.jsonl").write_text("")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "report"
+    assert main(["report", "--in", str(results), "--out", str(out)]) == 2
+    assert f"cannot write {out}:" in capsys.readouterr().err
 
 
 def test_report_rejects_a_missing_result_directory(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from resbinar.encoder import (
     SizeOverflow,
     VarMap,
     decode_model,
+    carrier_generators,
     encode_search,
     symmetry_clauses,
     write_dimacs_file,
@@ -311,3 +313,37 @@ def test_changing_an_encoding_leaves_the_cached_base_alone(tmp_path, monkeypatch
     cnf.add_clause((var, -1))
     cnf.varmap.aux[("mult", 0, 0)] = (var,) * 3
     assert dimacs_bytes(encode_search(task), tmp_path) == before
+
+
+def symmetry_cases():
+    """Each identity assumed alone and refuted alone and the base task at
+    n = 2, 3 and 4, and the criterion-3 tasks at n = 3."""
+    for n in (2, 3, 4):
+        yield SearchTask(n)
+        for name in IDENTITY_NAMES:
+            yield SearchTask.make(n, assume=(name,))
+            yield SearchTask.make(n, refute=name)
+    for target in DISTRIBUTIVITY_NAMES:
+        others = [d for d in DISTRIBUTIVITY_NAMES if d != target]
+        yield SearchTask.make(3, assume=others, refute=target)
+
+
+def test_exported_symmetries_map_the_clauses_onto_themselves():
+    """The invariant symmetric learning in solve_builtin relies on and does
+    not check: each generator maps the clause multiset onto itself.  A
+    dropped refutation tuple or a dropped _force_into clause breaks it."""
+    assert carrier_generators(1) == []
+    assert carrier_generators(2) == [[1, 0]]
+    assert carrier_generators(4) == [[1, 0, 2, 3], [1, 2, 3, 0]]
+    for task in symmetry_cases():
+        assert encode_search(task).symmetries == (), task.describe()
+        cnf = encode_search(task, EncodeOptions(symmetry=False))
+        assert len(cnf.symmetries) == (1 if task.size == 2 else 2), task.describe()
+        clauses = [tuple(sorted(clause)) for clause in cnf.iter_clauses()]
+        counts = Counter(clauses)
+        for perm in cnf.symmetries:
+            assert len(perm) == cnf.num_vars + 1 and perm[0] == 0, task.describe()
+            assert sorted(perm) == list(range(cnf.num_vars + 1)), task.describe()
+            images = Counter(tuple(sorted(perm[l] if l > 0 else -perm[-l] for l in clause))
+                             for clause in clauses)
+            assert images == counts, task.describe()

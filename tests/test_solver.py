@@ -142,14 +142,44 @@ def random_mixed_cnf(rng, nvars):
     return cnf
 
 
-def assert_verdicts_match_enumeration(family):
-    """Solve 300 CNFs drawn from family(rng, nvars) and check each verdict
-    by enumeration; both verdicts must be well represented, so that
-    neither side goes untested."""
+def random_symmetric_cnf(rng, nvars):
+    """Random 3-literal clauses, each added with its orbit under one or two
+    variable permutations until there are 10 clauses per variable; each
+    permutation is a cycle on 2 to 5 random variables, and they come back
+    as the instance's symmetries.  Orbits share literals, so a closed set
+    is satisfiable more often than an independent one of its size: for 12
+    to 16 variables about a third are UNSAT."""
+    perms = []
+    for _ in range(rng.randint(1, 2)):
+        moved = rng.sample(range(1, nvars + 1), rng.randint(2, 5))
+        perm = list(range(nvars + 1))
+        for a, b in zip(moved, moved[1:] + moved[:1]):
+            perm[a] = b
+        perms.append(perm)
+    clauses = {}
+    while len(clauses) < 10 * nvars:
+        seed = frozenset(v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, nvars + 1), 3))
+        orbit = [seed]
+        for clause in orbit:
+            for perm in perms:
+                image = frozenset(perm[l] if l > 0 else -perm[-l] for l in clause)
+                if image not in orbit:
+                    orbit.append(image)
+        clauses.update(dict.fromkeys(orbit))
+    cnf = CnfInstance.from_clauses(nvars, map(sorted, clauses))
+    cnf.symmetries = tuple(perms)
+    return cnf
+
+
+def assert_verdicts_match_enumeration(family, sizes=(8, 14)):
+    """Solve 300 CNFs drawn from family(rng, nvars), nvars in sizes, and
+    check each verdict by enumeration; both verdicts must be well
+    represented, so that neither side goes untested."""
     rng = random.Random(20260418)
     verdicts = {SAT: 0, UNSAT: 0}
     for _ in range(300):
-        cnf = family(rng, rng.randint(8, 14))
+        cnf = family(rng, rng.randint(*sizes))
         res = solve_builtin(cnf)
         assert res.status == (SAT if satisfiable_by_enumeration(cnf) else UNSAT)
         verdicts[res.status] += 1
@@ -173,10 +203,65 @@ def test_builtin_verdicts_on_mixed_clause_lengths_match_enumeration():
     assert_verdicts_match_enumeration(random_mixed_cnf)
 
 
+def test_builtin_verdicts_under_symmetric_learning_match_enumeration(monkeypatch):
+    """The referee for symmetric learning: every learned clause brings its
+    orbit under the instance's symmetries, so an image with a wrong literal
+    turns up as a wrong verdict, and one watched so that a conflict is
+    missed as a SAT answer that _answer rejects.  A watch on a false literal
+    while a non-false one exists only loses propagations, so each image's
+    watches are also checked against the rule, and each branch of the rule
+    must be taken."""
+    watch_image = resbinar.solver._watch_image
+    taken = {"two free": 0, "true and false": 0, "left out": 0}
+
+    def checked(image, value, level, watches):
+        before = list(image)
+        watch_image(image, value, level, watches)
+        free = [lit for lit in before if not value[-lit]]
+        watched = any(clause is image for clause in watches[image[0]])
+        assert sorted(image) == sorted(before)
+        if len(free) >= 2:
+            taken["two free"] += 1
+            assert watched and not value[-image[0]] and not value[-image[1]]
+        elif free and value[free[0]]:
+            taken["true and false"] += 1
+            top = max(level[-lit] for lit in before if lit != free[0])
+            other = image[1] if image[0] == free[0] else image[0]
+            assert watched and free[0] in image[:2] and level[-other] == top
+        else:
+            taken["left out"] += 1
+            assert not watched
+        assert watched == any(clause is image for clause in watches[image[1]])
+
+    monkeypatch.setattr(resbinar.solver, "_watch_image", checked)
+    assert_verdicts_match_enumeration(random_symmetric_cnf, (12, 16))
+    assert min(taken.values()) > 0, taken
+
+
+def test_builtin_rejects_a_symmetry_that_is_no_permutation():
+    for perm in ((0, 2, 1, 3), (0, 1), (0, 1, 1), (1, 0, 2), (0, 1, 3)):
+        cnf = CnfInstance.from_clauses(2, [(1, 2)])
+        cnf.symmetries = ((0, 2, 1), perm)
+        with pytest.raises(ValueError, match="permutation"):
+            solve_builtin(cnf)
+
+
 def test_builtin_decision_budget_yields_unknown():
     res = solve_builtin(pigeonhole(6, 5), SolveBudget(max_decisions=1))
     assert res.status == UNKNOWN
     assert "budget" in res.reason
+
+
+def test_builtin_decision_budget_is_a_ceiling():
+    # two decisions finish this assignment: a budget of one stops before
+    # the second, and a budget of two lets the solve end SAT
+    cnf = CnfInstance.from_clauses(2, [(1, 2)])
+    res = solve_builtin(cnf, SolveBudget(max_decisions=1))
+    assert res.status == UNKNOWN
+    assert res.stats["decisions"] == 1
+    res = solve_builtin(cnf, SolveBudget(max_decisions=2))
+    assert res.status == SAT
+    assert res.stats["decisions"] == 2
 
 
 def test_builtin_on_encoder_instance():
@@ -187,7 +272,9 @@ def test_builtin_on_encoder_instance():
 
 # (status, decisions, propagations, SHA-256 of the assignment's bytes) of
 # solve_builtin, recorded when the kernel became a CDCL; the statuses are
-# those of the DPLL before it.  Any change to the search itself shows.
+# those of the DPLL before it.  Any change to the search itself shows.  The
+# 13 UNSAT entries without symmetry breaking were recorded again when the
+# kernel began learning each conflict's orbit under the carrier relabelings.
 SEARCH_PINS = {
     ("assume D1", True): (
         "SAT", 9, 378,
@@ -196,7 +283,7 @@ SEARCH_PINS = {
         "SAT", 9, 464,
         "a1ff980dfd1900072ab9de4ac1f656fc42b11507f9e32943db190060ddedc926"),
     ("refute D1", True): ("UNSAT", 28, 1327, None),
-    ("refute D1", False): ("UNSAT", 155, 10710, None),
+    ("refute D1", False): ("UNSAT", 39, 2117, None),
     ("assume D2", True): (
         "SAT", 9, 378,
         "c861937f8a28d4a418a24c7928be9b8177c8d922514b2f9025291c100ebb08f0"),
@@ -204,7 +291,7 @@ SEARCH_PINS = {
         "SAT", 9, 464,
         "a1ff980dfd1900072ab9de4ac1f656fc42b11507f9e32943db190060ddedc926"),
     ("refute D2", True): ("UNSAT", 35, 1776, None),
-    ("refute D2", False): ("UNSAT", 188, 12644, None),
+    ("refute D2", False): ("UNSAT", 43, 2396, None),
     ("assume D3", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
@@ -212,7 +299,7 @@ SEARCH_PINS = {
         "SAT", 9, 464,
         "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
     ("refute D3", True): ("UNSAT", 20, 1388, None),
-    ("refute D3", False): ("UNSAT", 149, 9498, None),
+    ("refute D3", False): ("UNSAT", 29, 1494, None),
     ("assume D4", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
@@ -220,7 +307,7 @@ SEARCH_PINS = {
         "SAT", 9, 464,
         "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
     ("refute D4", True): ("UNSAT", 36, 1843, None),
-    ("refute D4", False): ("UNSAT", 219, 13309, None),
+    ("refute D4", False): ("UNSAT", 39, 2005, None),
     ("assume D5", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
@@ -228,7 +315,7 @@ SEARCH_PINS = {
         "SAT", 9, 464,
         "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
     ("refute D5", True): ("UNSAT", 34, 1906, None),
-    ("refute D5", False): ("UNSAT", 198, 13277, None),
+    ("refute D5", False): ("UNSAT", 36, 1903, None),
     ("assume D6", True): (
         "SAT", 9, 378,
         "8d057701cc5880958496d1075cc5d4a165b7a43505444476c5e1a4b460e374ca"),
@@ -236,7 +323,7 @@ SEARCH_PINS = {
         "SAT", 9, 464,
         "af5348f3e4413a78ea2f342ba551fbf61653318c7786dd56961e203a8b6c8a5a"),
     ("refute D6", True): ("UNSAT", 37, 2104, None),
-    ("refute D6", False): ("UNSAT", 218, 13793, None),
+    ("refute D6", False): ("UNSAT", 39, 1967, None),
     ("assume LD", True): (
         "SAT", 9, 378,
         "bec7eb3a7bef149b6d4b1abcfe55a896163993ff7dfba638277e91aa8f82164b"),
@@ -244,19 +331,19 @@ SEARCH_PINS = {
         "SAT", 9, 508,
         "47fc431fcdeb853d04efa2baa1d4f13d70c3fd1f9fb1636c9d995413b051a3f5"),
     ("refute LD", True): ("UNSAT", 0, 351, None),
-    ("refute LD", False): ("UNSAT", 8, 1551, None),
+    ("refute LD", False): ("UNSAT", 5, 767, None),
     ("others ⊢ D1", True): ("UNSAT", 28, 2286, None),
-    ("others ⊢ D1", False): ("UNSAT", 153, 20976, None),
+    ("others ⊢ D1", False): ("UNSAT", 44, 3895, None),
     ("others ⊢ D2", True): ("UNSAT", 35, 3113, None),
-    ("others ⊢ D2", False): ("UNSAT", 181, 24533, None),
+    ("others ⊢ D2", False): ("UNSAT", 48, 4228, None),
     ("others ⊢ D3", True): ("UNSAT", 20, 2675, None),
-    ("others ⊢ D3", False): ("UNSAT", 155, 20132, None),
+    ("others ⊢ D3", False): ("UNSAT", 29, 2849, None),
     ("others ⊢ D4", True): ("UNSAT", 35, 3613, None),
-    ("others ⊢ D4", False): ("UNSAT", 213, 25247, None),
+    ("others ⊢ D4", False): ("UNSAT", 56, 4187, None),
     ("others ⊢ D5", True): ("UNSAT", 34, 4314, None),
-    ("others ⊢ D5", False): ("UNSAT", 197, 27266, None),
+    ("others ⊢ D5", False): ("UNSAT", 36, 3508, None),
     ("others ⊢ D6", True): ("UNSAT", 37, 4181, None),
-    ("others ⊢ D6", False): ("UNSAT", 210, 26824, None),
+    ("others ⊢ D6", False): ("UNSAT", 56, 4305, None),
     ("n=4 LD,D1 ⊢ D3", True): (
         "SAT", 15, 2176,
         "e5a75895007f46e04621961e98d2a7fcb5bf443ebe29e04cd8f61e2bc0e6718f"),
