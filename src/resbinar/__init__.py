@@ -54,6 +54,7 @@ from .orchestrator import (
     GridConfig,
     GridOutcome,
     SearchResult,
+    WorkerStartError,
     build_grid,
     expects_unsat,
     goal_of,

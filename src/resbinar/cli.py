@@ -35,6 +35,7 @@ from .orchestrator import (
     RESULTS_NAME,
     ConfigError,
     GridConfig,
+    WorkerStartError,
     build_grid,
     expects_unsat,
     load_results,
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
     except (ConfigError, BoundExceeded) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except WorkerStartError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     finally:
         for sig, handler in previous.items():
             signal.signal(sig, signal.SIG_DFL if handler is None else handler)

@@ -25,6 +25,14 @@ clause set onto itself: a cell (op, r, c, v) goes to (op, pi[r], pi[c],
 pi[v]), an auxiliary term's literals to those of the relabeled term, and a
 refutation selector to the relabeled tuple's.  Such an encoding exports two generators
 of that group as variable permutations in CnfInstance.symmetries.
+
+A process keeps what every task of a size shares (_Size): the base
+clauses, a template of each assumed-identity and refutation block, and the
+cell-and-base part of each lifted generator.  A block is encoded directly
+the first time; if it created every non-base auxiliary term it used, it
+becomes the size's template, and every later task replays it under its own
+variable numbers instead of walking the terms again.  The CNF, VarMap.aux,
+the selectors and the symmetries come out as a direct encoding's would.
 """
 
 from __future__ import annotations
@@ -148,9 +156,12 @@ class CnfInstance:
     clause watching one variable twice.  The encoder appends the clauses it
     builds normal in bulk through _extend, unchecked, and sends only those
     whose term values overlap through add_clause.  An instance from
-    encode_search starts as a copy of its size's base clauses from
-    _cache_base, which keeps them for the life of the process: 2.5 MiB of
-    arrays at n = 7, 8.9 MiB at n = 9.
+    encode_search starts as a copy of its size's base clauses, which
+    _size_cache keeps for the life of the process (2.5 MiB of arrays at
+    n = 7, 8.9 MiB at n = 9), and gets each block it shares with an earlier
+    task of its size as a renumbered copy of that block's template.  The
+    store is append-only: a template reads its clauses from the store of
+    the task that recorded it until the next task of its size copies them.
 
     symmetries holds variable permutations, each of length num_vars + 1
     with perm[0] = 0, that map the clause set onto itself (literal sets,
@@ -239,22 +250,117 @@ class EncodeOptions:
     symmetry: bool = True
 
 
-_BASES: dict[int, tuple[array, array, int, int, dict]] = {}
+class _Size:
+    """What encode_search keeps per size n for the life of the process.
 
+    - The base: the exactly-one, lattice-law and residuation clauses every
+      task starts with, and their VarMap.aux.  A task copies them.
+    - blocks: a _Block template per assumed identity and per refuted one,
+      keyed ("assume" or "refute", name), replayed into every later task.
+    - lifts: per carrier generator, the head of its lifted permutation:
+      the images of the cells and of the base's auxiliary terms.
 
-def _cache_base(n: int) -> tuple[array, array, int, int, dict]:
-    """(literals, clause ends, num_vars, clause_count, VarMap.aux) of the
-    exactly-one, lattice-law and residuation clauses every task of size n
-    starts with, encoded on first use; callers copy them, never alias."""
-    if n not in _BASES:
+    Templates, once replayed, hold 0.45 MB at n = 3 and 1.9 MB at n = 4
+    for all fourteen blocks, and 2.8 MB (assumed) to 3.1 MB (refuted) per
+    block at n = 7, beside 2.5 MiB of base arrays there.
+    """
+
+    def __init__(self, n: int):
         enc = _Encoder(SearchTask(n), EncodeOptions())
         enc._exactly_one_cells()
         for ident in LATTICE_IDENTITIES:
             enc._assert_identity(ident)
         enc._residuation()
         cnf = enc.cnf
-        _BASES[n] = (cnf._lits, cnf._ends, cnf.num_vars, cnf.clause_count, enc.varmap.aux)
-    return _BASES[n]
+        self.lits, self.ends = cnf._lits, cnf._ends
+        self.num_vars, self.clause_count = cnf.num_vars, cnf.clause_count
+        self.aux = enc.varmap.aux
+        self.blocks: dict[tuple[str, str], _Block] = {}
+        self.lifts: dict[tuple[int, ...], array] = {}
+
+
+_SIZES: dict[int, _Size] = {}
+
+
+def _size_cache(n: int) -> _Size:
+    """The per-size cache, its base encoded on first use; callers copy what
+    they take from it, never alias it."""
+    if n not in _SIZES:
+        _SIZES[n] = _Size(n)
+    return _SIZES[n]
+
+
+class _Block:
+    """Template of one assumed-identity or refutation block, recorded from
+    a direct encoding that created every non-base auxiliary term it used.
+    Its literals are therefore base variables, which keep their numbers in
+    every task, and the variables it allocated after `first`.
+
+    allocs lists those allocations in order: (key, lo, hi) for a new
+    auxiliary term, whose definition is the recording store's clauses
+    lo..hi-1, and (tuple, None, None) for the selector of a refuted tuple.
+
+    The clauses stay in the recording task's append-only store until the
+    next task of the size starts and copies them out: a process that
+    encodes one task (a grid worker) keeps no second copy, and a warm one
+    keeps no earlier task's whole store alive."""
+
+    def __init__(self, cnf: CnfInstance, base_vars: int, first: int,
+                 lit0: int, clause0: int, allocs: list[tuple]):
+        self.base_vars, self.first, self.allocs = base_vars, first, allocs
+        self.clause0 = clause0
+        self._source = (cnf._lits, cnf._ends, lit0, clause0, len(cnf._ends))
+        self.lits = self.offsets = None
+
+    def copy_out(self) -> None:
+        if self._source is None:
+            return
+        lits, ends, lit0, clause0, clause1 = self._source
+        self.lits = lits[lit0:ends[clause1 - 1]]
+        # offsets[i] is where clause i starts in self.lits; one past the last ends it
+        self.offsets = array("i", [0])
+        self.offsets.extend(end - lit0 for end in ends[clause0:clause1])
+        self._source = None
+
+    def replay(self, enc: "_Encoder") -> None:
+        """Append the block to enc's task under the task's next variables.
+
+        A term the task already has (one a block before shared) keeps its
+        variables, and its definition clauses are cut out as one slice."""
+        cnf, aux, n = enc.cnf, enc.varmap.aux, enc.n
+        nv = cnf.num_vars
+        # fwd[v] is the task's variable for the template's variable v
+        fwd = list(range(self.base_vars + 1))
+        fwd += [0] * (self.first - self.base_vars)
+        cuts = []
+        for key, lo, hi in self.allocs:
+            if lo is None:
+                nv += 1
+                fwd.append(nv)
+                enc.selectors[key] = nv
+                continue
+            op, left, right = key
+            key = (op,
+                   left if type(left) is int else tuple(map(fwd.__getitem__, left)),
+                   right if type(right) is int else tuple(map(fwd.__getitem__, right)))
+            lits = aux.get(key)
+            if lits is None:
+                lits = aux[key] = tuple(range(nv + 1, nv + n + 1))
+                nv += n
+            else:
+                cuts.append((lo - self.clause0, hi - self.clause0))
+            fwd.extend(lits)
+        cnf.num_vars = nv
+        table = fwd + [-v for v in fwd[:0:-1]]  # table[-v] == -fwd[v]
+        offsets, at = self.offsets, 0
+        cuts.append((len(offsets) - 1,) * 2)
+        for lo, hi in cuts:
+            if lo > at:
+                shift = len(cnf._lits) - offsets[at]
+                cnf._lits.extend(map(table.__getitem__, self.lits[offsets[at]:offsets[lo]]))
+                cnf._ends.extend(map(shift.__add__, offsets[at + 1:lo + 1]))
+                cnf.clause_count += lo - at
+            at = hi
 
 
 class _Encoder:
@@ -266,20 +372,47 @@ class _Encoder:
         self.cnf = CnfInstance(num_vars=self.varmap.num_base)
         self.cnf.varmap = self.varmap
         self.selectors: dict[tuple[int, ...], int] = {}  # refuted tuple -> selector
+        # the block being encoded: its allocations, and the variables of
+        # earlier blocks, a term among which keeps it from being a template
+        self._allocs: list[tuple] = []
+        self._earlier = (0, 0)
+        self._reused = False
 
     def build(self) -> CnfInstance:
-        lits, ends, self.cnf.num_vars, self.cnf.clause_count, aux = _cache_base(self.n)
-        self.cnf._lits, self.cnf._ends = lits[:], ends[:]
-        self.varmap.aux = dict(aux)
+        size = self._size = _size_cache(self.n)
+        for template in size.blocks.values():
+            template.copy_out()
+        cnf = self.cnf
+        cnf._lits, cnf._ends = size.lits[:], size.ends[:]
+        cnf.num_vars, cnf.clause_count = size.num_vars, size.clause_count
+        self.varmap.aux = dict(size.aux)
         for name in sorted(self.task.assume):
-            self._assert_identity(builtin(name))
+            self._block("assume", name)
         if self.task.refute is not None:
-            self._refute(builtin(self.task.refute))
+            self._block("refute", self.task.refute)
         if self.opts.symmetry:
-            self.cnf._extend(symmetry_clauses(self.n, self.varmap.leq))
+            cnf._extend(symmetry_clauses(self.n, self.varmap.leq))
         else:
-            self.cnf.symmetries = tuple(map(self._lift, carrier_generators(self.n)))
-        return self.cnf
+            cnf.symmetries = tuple(map(self._lift, carrier_generators(self.n)))
+        return cnf
+
+    def _block(self, kind: str, name: str) -> None:
+        """Replay the size's template of the block, or encode it directly
+        and keep it as the template if it used no earlier block's term."""
+        size, cnf = self._size, self.cnf
+        template = size.blocks.get((kind, name))
+        if template is not None:
+            template.replay(self)
+            return
+        first, lit0, clause0 = cnf.num_vars, len(cnf._lits), len(cnf._ends)
+        self._allocs, self._earlier, self._reused = [], (size.num_vars, first), False
+        if kind == "assume":
+            self._assert_identity(builtin(name))
+        else:
+            self._refute(builtin(name))
+        if not self._reused:
+            size.blocks[kind, name] = _Block(cnf, size.num_vars, first, lit0, clause0,
+                                             self._allocs)
 
     def _lift(self, pi: list[int]) -> array:
         """The variable permutation a relabeling pi of the carrier induces.
@@ -287,30 +420,50 @@ class _Encoder:
         A literal tuple of a term goes to that of the relabeled term, with
         the literal for value v moving to the one for pi[v].  Cells come
         first; auxiliary terms follow in insertion order, which puts each
-        term's arguments before it."""
-        n, vm = self.n, self.varmap
-        perm = array("i", range(self.cnf.num_vars + 1))
-        image: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for op in OPS:
-            for row in range(n):
-                for col in range(n):
-                    src = vm.var(op, row, col, 0)
-                    dst = vm.var(op, pi[row], pi[col], 0)
-                    image[tuple(range(src, src + n))] = tuple(range(dst, dst + n))
-                    for v in range(n):
-                        perm[src + v] = dst + pi[v]
+        term's arguments before it.  The images of the cells and the base's
+        terms are the same for every task of a size and kept per size."""
+        n, vm, size = self.n, self.varmap, self._size
+        base_terms = len(size.aux)
+        head = size.lifts.get(tuple(pi))
+        if head is None:
+            head = array("i", range(size.num_vars + 1))
+            for op in OPS:
+                for row in range(n):
+                    for col in range(n):
+                        src = vm.var(op, row, col, 0)
+                        dst = vm.var(op, pi[row], pi[col], 0)
+                        for v in range(n):
+                            head[src + v] = dst + pi[v]
+            self._lift_terms(pi, head, itertools.islice(vm.aux.items(), base_terms))
+            size.lifts[tuple(pi)] = head
+        perm = head + array("i", range(len(head), self.cnf.num_vars + 1))
+        self._lift_terms(pi, perm, itertools.islice(vm.aux.items(), base_terms, None))
+        for tup, w in self.selectors.items():
+            image = tuple(pi[a] for a in tup)
+            if image not in self.selectors:
+                raise ValueError(f"encoding not invariant under relabeling {pi}: "
+                                 f"no selector for the refuted tuple {image}")
+            perm[w] = self.selectors[image]
+        return perm
+
+    def _lift_terms(self, pi: list[int], perm: array, items) -> None:
+        """Fill perm for each (key, literals) of items, whose arguments'
+        literals perm already maps.  The relabeled term's literal for
+        value w is the image of the literal for pinv[w]."""
+        aux = self.varmap.aux
+        pinv = sorted(range(self.n), key=pi.__getitem__)
 
         def move(value):
-            return pi[value] if isinstance(value, int) else image[value]
+            return pi[value] if type(value) is int else tuple([perm[value[j]] for j in pinv])
 
-        for (op, left, right), lits in vm.aux.items():
-            target = vm.aux[(op, move(left), move(right))]
-            image[lits] = target
+        for (op, left, right), lits in items:
+            key = (op, move(left), move(right))
+            target = aux.get(key)
+            if target is None:
+                raise ValueError(f"encoding not invariant under relabeling {pi}: "
+                                 f"no auxiliary term {key}")
             for v, lit in enumerate(lits):
                 perm[lit] = target[pi[v]]
-        for tup, w in self.selectors.items():
-            perm[w] = self.selectors[tuple(pi[a] for a in tup)]
-        return perm
 
     # -- building blocks
 
@@ -339,10 +492,14 @@ class _Encoder:
         key = (t.op, left, right)
         lits = self.varmap.aux.get(key)
         if lits is None:
+            lo = len(self.cnf._ends)
             lits = tuple(self.cnf.new_var() for _ in range(self.n))
             self.varmap.aux[key] = lits
             self._force_into(t.op, left, right, lits)
             self._at_most_one(lits)
+            self._allocs.append((key, lo, len(self.cnf._ends)))
+        elif self._earlier[0] < lits[0] <= self._earlier[1]:
+            self._reused = True
         return lits
 
     def _choices(self, value) -> list[tuple[int, tuple[int, ...]]]:
@@ -416,6 +573,7 @@ class _Encoder:
         for tup in itertools.product(range(self.n), repeat=len(names)):
             env = dict(zip(names, tup))
             w = self.selectors[tup] = self.cnf.new_var()
+            self._allocs.append((tup, None, None))
             lhs = self._flatten(ident.lhs, env)
             rhs = self._flatten(ident.rhs, env)
             self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)], lhs != rhs)

@@ -311,16 +311,30 @@ def _solve_task(task: SearchTask, solver_spec: str, scratch: str, conn) -> None:
         conn.close()
 
 
+class WorkerStartError(OSError):
+    """A task's worker process, its pipe or its scratch directory could not
+    be made (the process table or the file descriptors are full)."""
+
+
 class _Worker:
     """One task in its own process, which leads a process group of its own
     so that stop() kills every process the solve started."""
 
     def __init__(self, task: SearchTask, solver_spec: str):
         self.started = time.monotonic()
-        self.scratch = tempfile.mkdtemp(prefix="resbinar-")
-        self.conn, child = _FORK.Pipe(duplex=False)
-        self.proc = _FORK.Process(target=_solve_task, args=(task, solver_spec, self.scratch, child))
-        self.proc.start()
+        scratch, ends = None, []
+        try:
+            self.scratch = scratch = tempfile.mkdtemp(prefix="resbinar-")
+            ends += _FORK.Pipe(duplex=False)
+            self.conn, child = ends
+            self.proc = _FORK.Process(target=_solve_task, args=(task, solver_spec, scratch, child))
+            self.proc.start()
+        except OSError as exc:
+            for end in ends:
+                end.close()
+            if scratch is not None:
+                shutil.rmtree(scratch, ignore_errors=True)
+            raise WorkerStartError(f"cannot start a worker: {exc}") from exc
         child.close()
         # as shells do, so that the group exists before stop() can be called
         try:

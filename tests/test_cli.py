@@ -138,6 +138,26 @@ def test_search_reports_a_solver_that_cannot_start(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--size", "2"],
+    ["grid", "--targets", "D3", "--min-size", "2", "--max-size", "2"],
+])
+def test_a_worker_that_cannot_be_forked_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                          command):
+    def refuse(self):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(resbinar.orchestrator._FORK.Process, "start", refuse)
+    monkeypatch.setattr(resbinar.orchestrator.tempfile, "tempdir", str(tmp_path))
+    out = tmp_path / "grid"
+    assert main(command + ["--solver", "builtin", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("ERROR: cannot start a worker: "
+                            "[Errno 11] Resource temporarily unavailable\n")
+    assert captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == (["grid"] if "grid" in command else [])
+
+
 def test_search_timeout_stops_an_engine_that_ignores_it(monkeypatch, capsys):
     def sleeper(cnf, *budget):
         time.sleep(10)

@@ -1,4 +1,7 @@
 import hashlib
+import itertools
+import re
+import types
 from collections import Counter
 
 import pytest
@@ -294,25 +297,120 @@ def test_cached_base_encodes_like_a_cold_one(tmp_path, monkeypatch):
     ]
     cold = []
     for task, symmetry in tasks:
-        monkeypatch.setattr(resbinar.encoder, "_BASES", {})
+        monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
         cold.append(dimacs_bytes(encode_search(task, EncodeOptions(symmetry)), tmp_path))
     for order in (range(len(tasks)), reversed(range(len(tasks)))):
-        monkeypatch.setattr(resbinar.encoder, "_BASES", {})
+        monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
         for i in order:
             task, symmetry = tasks[i]
             assert dimacs_bytes(encode_search(task, EncodeOptions(symmetry)), tmp_path) == cold[i]
 
 
 def test_changing_an_encoding_leaves_the_cached_base_alone(tmp_path, monkeypatch):
-    monkeypatch.setattr(resbinar.encoder, "_BASES", {})
-    task = SearchTask.make(3, assume=("D1",), refute="D2")
-    # the first encoding of a size is the one that fills the cache
+    monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+    task = SearchTask.make(3, assume=("D1",), refute="D3")
+    # the first encoding of a size fills the cache: its base and, read from
+    # this encoding's own clause store, the templates of both blocks
     cnf = encode_search(task)
+    assert set(resbinar.encoder._SIZES[3].blocks) == {("assume", "D1"), ("refute", "D3")}
     before = dimacs_bytes(cnf, tmp_path)
-    var = cnf.new_var()
-    cnf.add_clause((var, -1))
-    cnf.varmap.aux[("mult", 0, 0)] = (var,) * 3
+
+    def change(cnf):
+        var = cnf.new_var()
+        cnf.add_clause((var, -1))
+        cnf.varmap.aux[("mult", 0, 0)] = (var,) * 3
+        for perm in cnf.symmetries:
+            perm[1] = var
+
+    change(cnf)
+    # the second replays both blocks; a change to it touches no template
+    replayed = encode_search(task)
+    assert dimacs_bytes(replayed, tmp_path) == before
+    change(replayed)
     assert dimacs_bytes(encode_search(task), tmp_path) == before
+    lifted = [list(perm) for perm in encode_search(task, EncodeOptions(symmetry=False)).symmetries]
+    change(encode_search(task, EncodeOptions(symmetry=False)))
+    assert [list(perm) for perm in
+            encode_search(task, EncodeOptions(symmetry=False)).symmetries] == lifted
+
+
+def fingerprint(task, symmetry, directory):
+    """Everything a replay must reproduce: the DIMACS bytes, VarMap.aux in
+    order, the selectors in order and the exported symmetries."""
+    enc = resbinar.encoder._Encoder(task, EncodeOptions(symmetry))
+    cnf = enc.build()
+    return (dimacs_bytes(cnf, directory), list(cnf.varmap.aux.items()),
+            list(enc.selectors.items()), [list(perm) for perm in cnf.symmetries])
+
+
+def replay_cases():
+    """The pinned tasks; each pair of identities that share auxiliary
+    terms assumed together, and each of them assumed while its partner is
+    refuted, at n = 2, 3 and 4."""
+    seen = [task for _, task, _ in pinned_encodings()]
+    for n in (2, 3, 4):
+        for a, b in (("D1", "D2"), ("D3", "D5"), ("D4", "D6")):
+            seen.append(SearchTask.make(n, assume=(a, b)))
+            seen.append(SearchTask.make(n, assume=(a,), refute=b))
+            seen.append(SearchTask.make(n, assume=(b,), refute=a))
+    return [(task, symmetry) for task in dict.fromkeys(seen) for symmetry in (True, False)]
+
+
+def test_replayed_blocks_encode_like_cold_ones(tmp_path, monkeypatch):
+    """The referee of the per-size block templates: each task encoded in a
+    fresh cache must come out the same when every block it holds was
+    recorded by other tasks before it, in forward and in reverse order."""
+    cases = replay_cases()
+    cold = []
+    for task, symmetry in cases:
+        monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+        cold.append(fingerprint(task, symmetry, tmp_path))
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+        for i in order:
+            task, symmetry = cases[i]
+            assert fingerprint(task, symmetry, tmp_path) == cold[i], (task.describe(), symmetry)
+    # the pinned tasks record every block at n = 3 and 4, so the warm
+    # passes replayed each; at n = 2 a refuted block always follows its
+    # partner and is encoded directly, and the assumed ones are replayed
+    for n in (3, 4):
+        assert len(resbinar.encoder._SIZES[n].blocks) == 2 * len(IDENTITY_NAMES)
+    assert set(resbinar.encoder._SIZES[2].blocks) == {
+        ("assume", name) for name in DISTRIBUTIVITY_NAMES}
+
+
+def test_lift_names_what_a_relabeling_misses(monkeypatch):
+    """An encoding that is not invariant under relabeling the carrier
+    cannot be lifted; the error names the relabeled term or tuple it lacks."""
+    monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+    refute = resbinar.encoder._Encoder._refute
+    # the encoder's itertools, except that product skips its first tuple
+    skipping = types.SimpleNamespace(**vars(itertools))
+    skipping.product = lambda *args, **kw: itertools.islice(itertools.product(*args, **kw), 1, None)
+
+    def refute_all_but_one(self, ident):
+        with monkeypatch.context() as patch:
+            patch.setattr(resbinar.encoder, "itertools", skipping)
+            refute(self, ident)
+
+    monkeypatch.setattr(resbinar.encoder._Encoder, "_refute", refute_all_but_one)
+    # the tuple x = y = z = 0 is gone, with its term x * (y ^ z), whose right
+    # argument is the meet cell (0, 0): variables 1, 2 and 3
+    message = ("encoding not invariant under relabeling [1, 0, 2]: "
+               "no auxiliary term ('mult', 0, (1, 2, 3))")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        encode_search(SearchTask.make(3, refute="D1"), EncodeOptions(symmetry=False))
+
+    def refute_but_lose_a_selector(self, ident):
+        refute(self, ident)
+        del self.selectors[(0, 0, 0)]
+
+    monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+    monkeypatch.setattr(resbinar.encoder._Encoder, "_refute", refute_but_lose_a_selector)
+    message = ("encoding not invariant under relabeling [1, 0, 2]: "
+               "no selector for the refuted tuple (0, 0, 0)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        encode_search(SearchTask.make(3, refute="D1"), EncodeOptions(symmetry=False))
 
 
 def symmetry_cases():

@@ -21,6 +21,8 @@ from resbinar.orchestrator import (
     load_results,
     persist_result,
     run_grid,
+    run_task,
+    WorkerStartError,
 )
 from resbinar.reporting import report_bundle
 from resbinar.terms import DISTRIBUTIVITY_NAMES, builtin
@@ -468,3 +470,25 @@ def test_grid_runs_a_repeated_subset_once(tmp_path):
     assert (twice.out_dir / "results.jsonl").read_text().count("\n") == 3
     # likewise a repeated target: the default grid's nine D3 tasks, once each
     assert len(build_grid(GridConfig(targets=("D3", "D3")))) == 9
+
+
+def test_a_worker_that_cannot_be_forked_leaves_nothing_behind(tmp_path, monkeypatch):
+    """A fork that fails (EAGAIN: the process table is full) must release
+    both pipe ends and the scratch directory before the error leaves."""
+    def refuse(self):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    pipes = []
+    pipe = resbinar.orchestrator._FORK.Pipe
+
+    def recorded_pipe(*args, **kwargs):
+        pipes.append(pipe(*args, **kwargs))
+        return pipes[-1]
+
+    monkeypatch.setattr(resbinar.orchestrator._FORK.Process, "start", refuse)
+    monkeypatch.setattr(resbinar.orchestrator._FORK, "Pipe", recorded_pipe)
+    monkeypatch.setattr(resbinar.orchestrator.tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(WorkerStartError, match=r"^cannot start a worker: \[Errno 11\]"):
+        run_task(SearchTask(2), "builtin")
+    assert len(pipes) == 1 and all(end.closed for end in pipes[0])
+    assert list(tmp_path.iterdir()) == []
