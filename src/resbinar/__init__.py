@@ -10,23 +10,19 @@ from .algebra import (
     FiniteBinar,
     NotResiduated,
     OrderInconsistent,
-    OrderRelation,
     VerificationReport,
     Violation,
-    are_isomorphic,
     binar_from_dict,
     binar_to_dict,
     check_identity,
     check_lattice,
     check_residuation,
     covering_relation,
-    derive_order,
     derive_residuals,
     lattice_tables,
     load_model,
     order_from_tables,
     save_model,
-    table_isomorphism,
     verify,
 )
 from .encoder import (
@@ -92,6 +88,7 @@ from .terms import (
     builtin,
     format_identity,
     format_term,
+    identity_name,
     parse_identity,
     parse_term,
 )

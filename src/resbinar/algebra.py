@@ -4,7 +4,8 @@ A model lives on the carrier {0..n-1} and carries five total binary
 operations: meet, join, mult, lres, rres.  Table orientation follows the
 written expression: ``lres[x][z]`` is x\\z and ``rres[z][y]`` is z/y, i.e.
 the first index is the left-hand symbol.  The partial order is never stored;
-it is derived from the meet table and cross-checked against join.
+it is derived from the meet table and cross-checked against join, as an
+`Order`: the boolean matrix whose [x][y] entry says x <= y.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
     from .encoder import SearchTask
 
 Table = tuple[tuple[int, ...], ...]
+Order = tuple[tuple[bool, ...], ...]
 
 
 class OrderInconsistent(ValueError):
@@ -48,10 +50,6 @@ class NotResiduated(ValueError):
         self.cell = (row, col)
         self.side = side
         super().__init__(f"no {side} residual at cell ({row},{col})")
-
-
-class SizeMismatch(ValueError):
-    pass
 
 
 class UnknownOp(KeyError):
@@ -97,17 +95,6 @@ class FiniteBinar:
 
 
 @dataclass(frozen=True)
-class OrderRelation:
-    """Boolean matrix of a partial order on {0..size-1}."""
-
-    size: int
-    leq: tuple[tuple[bool, ...], ...]
-
-    def holds(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
-
-
-@dataclass(frozen=True)
 class Violation:
     """One failed instance of a named axiom or identity: the assignment and
     both side values."""
@@ -133,8 +120,9 @@ class VerificationReport:
 
 # --- order -------------------------------------------------------------------
 
-def order_from_tables(meet: Table, join: Table) -> OrderRelation:
-    """Order with x<=y iff meet[x][y]=x; join[x][y]=y must agree."""
+def order_from_tables(meet: Table, join: Table) -> Order:
+    """The leq matrix of the order with x<=y iff meet[x][y]=x; join[x][y]=y
+    must agree."""
     n = len(meet)
     leq = tuple(tuple(meet[x][y] == x for y in range(n)) for x in range(n))
     for x in range(n):
@@ -155,17 +143,12 @@ def order_from_tables(meet: Table, join: Table) -> OrderRelation:
             for z in range(n):
                 if leq[y][z] and not leq[x][z]:
                     raise OrderInconsistent(x, z, "not transitive")
-    return OrderRelation(size=n, leq=leq)
+    return leq
 
 
-def derive_order(b: FiniteBinar) -> OrderRelation:
-    return order_from_tables(b.meet, b.join)
-
-
-def covering_relation(order: OrderRelation) -> tuple[tuple[int, int], ...]:
+def covering_relation(leq: Order) -> tuple[tuple[int, int], ...]:
     """Edges (x, y) with x strictly below y and nothing strictly between."""
-    n = order.size
-    leq = order.leq
+    n = len(leq)
     edges = []
     for x in range(n):
         for y in range(n):
@@ -177,7 +160,7 @@ def covering_relation(order: OrderRelation) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def lattice_tables(leq) -> tuple[Table, Table] | None:
+def lattice_tables(leq: Order) -> tuple[Table, Table] | None:
     """Meet and join tables of the partial order given by a boolean matrix,
     or None when some pair has no greatest lower or no least upper bound."""
     n = len(leq)
@@ -247,8 +230,7 @@ def check_residuation(b: FiniteBinar) -> VerificationReport:
     must agree; every disagreeing pair of conditions is reported, with lhs
     and rhs carrying the two truth values.
     """
-    order = derive_order(b)
-    leq = order.leq
+    leq = order_from_tables(b.meet, b.join)
     n = b.size
     mult, lres, rres = b.mult, b.lres, b.rres
     violations = []
@@ -298,7 +280,7 @@ def verify(task: "SearchTask", model: FiniteBinar) -> list[str]:
     return complaints
 
 
-def _residual(line, z: int, leq, join: Table) -> int | None:
+def _residual(line, z: int, leq: Order, join: Table) -> int | None:
     """The residual of z along one row or column of mult, or None.
 
     With S = {i : line[i] <= z}, the residual can only be the join g of S,
@@ -317,15 +299,14 @@ def _residual(line, z: int, leq, join: Table) -> int | None:
     return best
 
 
-def derive_residuals(order: OrderRelation, mult: Table) -> tuple[Table, Table]:
+def derive_residuals(leq: Order, mult: Table) -> tuple[Table, Table]:
     """Residual tables forced by mult and the order, if they exist.
 
     lres[x][z] is the residual of z along row x of mult, rres[z][y] along
     column y.  Raises NotResiduated naming the first failing cell, left
     table first.  Raises OrderInconsistent if the order is not a lattice.
     """
-    n = order.size
-    leq = order.leq
+    n = len(leq)
     tables = lattice_tables(leq)
     if tables is None:
         raise OrderInconsistent(None, None, "not a lattice")
@@ -358,7 +339,7 @@ def relabel(table: Table, perm: tuple[int, ...]) -> Table:
     )
 
 
-def _linear_extensions(leq) -> Iterator[tuple[int, ...]]:
+def _linear_extensions(leq: Order) -> Iterator[tuple[int, ...]]:
     """Every perm under which the order refines 0 < 1 < ... < n-1, i.e.
     x <= y implies perm[x] <= perm[y]."""
     n = len(leq)
@@ -387,39 +368,14 @@ def canonical_form(tables: Mapping[str, Table]) -> tuple[tuple[Table, ...], tupl
     visited: at most (n-2)! of them, as bottom and top are fixed.  That is
     at most 24 for the oracle's n <= 6, but 5,040 for M7 at n = 9.
     """
-    order = order_from_tables(tables["meet"], tables["join"])
+    leq = order_from_tables(tables["meet"], tables["join"])
     names = sorted(tables)
     best = None
-    for perm in _linear_extensions(order.leq):
+    for perm in _linear_extensions(leq):
         form = tuple(relabel(tables[name], perm) for name in names)
         if best is None or form < best[0]:
             best = (form, perm)
     return best
-
-
-def table_isomorphism(
-    n: int, tables_a: Mapping[str, Table], tables_b: Mapping[str, Table]
-) -> tuple[int, ...] | None:
-    """A bijection on {0..n-1} commuting with every given operation, or None.
-
-    Both operand dicts must list the same operation names and include meet
-    and join, which fix the order that canonical_form sorts by.
-    """
-    if set(tables_a) != set(tables_b):
-        raise ValueError("operation sets differ")
-    form_a, perm_a = canonical_form(tables_a)
-    form_b, perm_b = canonical_form(tables_b)
-    if form_a != form_b:
-        return None
-    inv_b = sorted(range(n), key=perm_b.__getitem__)
-    return tuple(inv_b[p] for p in perm_a)
-
-
-def are_isomorphic(a: FiniteBinar, b: FiniteBinar) -> tuple[int, ...] | None:
-    """Permutation carrying a onto b across all five operations, or None."""
-    if a.size != b.size:
-        raise SizeMismatch(f"{a.size} != {b.size}")
-    return table_isomorphism(a.size, a.ops(), b.ops())
 
 
 # --- model files ------------------------------------------------------------

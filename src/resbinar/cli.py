@@ -152,9 +152,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.timeout is not None and not args.timeout > 0:
-        print(f"invalid timeout: {args.timeout} (need seconds > 0)", file=sys.stderr)
-        return EXIT_USAGE
     task = _task(args, args.size)
     status, model, reason = run_task(task, args.solver or _default_solver(), args.timeout)
     if status == ERROR:

@@ -44,13 +44,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import FiniteBinar, freeze_table
 from .terms import (
-    IDENTITY_NAMES,
     Identity,
     LATTICE_IDENTITIES,
     OPS,
     Term,
     Variable,
     builtin,
+    identity_name,
     identity_variables,
 )
 
@@ -70,13 +70,6 @@ class IllFormedAssignment(ValueError):
         super().__init__(f"cell {cell} has no unique value")
 
 
-def _canonical_name(ident: Identity | str) -> str:
-    name = ident if isinstance(ident, str) else ident.name
-    if name not in IDENTITY_NAMES:
-        raise ValueError(f"not one of {IDENTITY_NAMES}: {name!r}")
-    return name
-
-
 @dataclass(frozen=True)
 class SearchTask:
     """Find a residuated binar of the given size satisfying every assumed
@@ -91,10 +84,10 @@ class SearchTask:
             raise ValueError(f"size must be a positive int: {self.size!r}")
         if self.size > ENCODING_CEILING:
             raise SizeOverflow(f"size {self.size} beyond ceiling {ENCODING_CEILING}")
-        names = frozenset(_canonical_name(a) for a in self.assume)
+        names = frozenset(identity_name(a) for a in self.assume)
         object.__setattr__(self, "assume", names)
         if self.refute is not None:
-            refute = _canonical_name(self.refute)
+            refute = identity_name(self.refute)
             object.__setattr__(self, "refute", refute)
             if refute in names:
                 raise ValueError(f"cannot both assume and refute {refute}")
@@ -159,9 +152,7 @@ class CnfInstance:
     encode_search starts as a copy of its size's base clauses, which
     _size_cache keeps for the life of the process (2.5 MiB of arrays at
     n = 7, 8.9 MiB at n = 9), and gets each block it shares with an earlier
-    task of its size as a renumbered copy of that block's template.  The
-    store is append-only: a template reads its clauses from the store of
-    the task that recorded it until the next task of its size copies them.
+    task of its size as a renumbered copy of that block's template.
 
     symmetries holds variable permutations, each of length num_vars + 1
     with perm[0] = 0, that map the clause set onto itself (literal sets,
@@ -299,28 +290,17 @@ class _Block:
     allocs lists those allocations in order: (key, lo, hi) for a new
     auxiliary term, whose definition is the recording store's clauses
     lo..hi-1, and (tuple, None, None) for the selector of a refuted tuple.
-
-    The clauses stay in the recording task's append-only store until the
-    next task of the size starts and copies them out: a process that
-    encodes one task (a grid worker) keeps no second copy, and a warm one
-    keeps no earlier task's whole store alive."""
+    The block's clauses, the recording store's from clause0 on, are copied
+    out when it is recorded."""
 
     def __init__(self, cnf: CnfInstance, base_vars: int, first: int,
                  lit0: int, clause0: int, allocs: list[tuple]):
         self.base_vars, self.first, self.allocs = base_vars, first, allocs
-        self.clause0 = clause0
-        self._source = (cnf._lits, cnf._ends, lit0, clause0, len(cnf._ends))
-        self.lits = self.offsets = None
-
-    def copy_out(self) -> None:
-        if self._source is None:
-            return
-        lits, ends, lit0, clause0, clause1 = self._source
-        self.lits = lits[lit0:ends[clause1 - 1]]
-        # offsets[i] is where clause i starts in self.lits; one past the last ends it
-        self.offsets = array("i", [0])
-        self.offsets.extend(end - lit0 for end in ends[clause0:clause1])
-        self._source = None
+        self.lit0, self.clause0 = lit0, clause0
+        self.lits = cnf._lits[lit0:]
+        # offsets[i] is where clause i started in the recording store, so
+        # at self.lits[offsets[i] - lit0]; one past the last ends it
+        self.offsets = array("i", [lit0]) + cnf._ends[clause0:]
 
     def replay(self, enc: "_Encoder") -> None:
         """Append the block to enc's task under the task's next variables.
@@ -352,12 +332,13 @@ class _Block:
             fwd.extend(lits)
         cnf.num_vars = nv
         table = fwd + [-v for v in fwd[:0:-1]]  # table[-v] == -fwd[v]
-        offsets, at = self.offsets, 0
+        offsets, lit0, at = self.offsets, self.lit0, 0
         cuts.append((len(offsets) - 1,) * 2)
         for lo, hi in cuts:
             if lo > at:
                 shift = len(cnf._lits) - offsets[at]
-                cnf._lits.extend(map(table.__getitem__, self.lits[offsets[at]:offsets[lo]]))
+                cnf._lits.extend(map(table.__getitem__,
+                                     self.lits[offsets[at] - lit0:offsets[lo] - lit0]))
                 cnf._ends.extend(map(shift.__add__, offsets[at + 1:lo + 1]))
                 cnf.clause_count += lo - at
             at = hi
@@ -380,8 +361,6 @@ class _Encoder:
 
     def build(self) -> CnfInstance:
         size = self._size = _size_cache(self.n)
-        for template in size.blocks.values():
-            template.copy_out()
         cnf = self.cnf
         cnf._lits, cnf._ends = size.lits[:], size.ends[:]
         cnf.num_vars, cnf.clause_count = size.num_vars, size.clause_count

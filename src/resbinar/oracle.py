@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .algebra import (
     FiniteBinar,
+    Order,
     Table,
     _residual,
     canonical_form,
@@ -26,7 +27,7 @@ from .algebra import (
     order_from_tables,
     relabel,
 )
-from .terms import IDENTITY_NAMES, Identity, builtin
+from .terms import IDENTITY_NAMES, Identity, builtin, identity_name
 
 if TYPE_CHECKING:
     from .encoder import SearchTask
@@ -93,7 +94,7 @@ def enumerate_lattices(
     }))
 
 
-def _residuable_lines(n: int, leq: tuple[tuple[bool, ...], ...], join: Table):
+def _residuable_lines(n: int, leq: Order, join: Table):
     """The value rows permitted in a residuated mult table: those with a
     residual for every z.  Rows and columns of mult face the same
     condition, one for each residual.
@@ -111,8 +112,7 @@ def enumerate_residuated_binars(n: int) -> Iterator[FiniteBinar]:
             f"exhaustive enumeration supports 1 <= n <= {EXHAUSTIVE_BOUND}"
         )
     for meet, join in enumerate_lattices(n):
-        order = order_from_tables(meet, join)
-        leq = order.leq
+        leq = order_from_tables(meet, join)
         rows = _residuable_lines(n, leq, join)
         row_set = set(rows)
         for choice in itertools.product(rows, repeat=n):
@@ -122,7 +122,7 @@ def enumerate_residuated_binars(n: int) -> Iterator[FiniteBinar]:
             ):
                 continue
             mult = tuple(choice)
-            lres, rres = derive_residuals(order, mult)
+            lres, rres = derive_residuals(leq, mult)
             yield FiniteBinar(n, meet, join, mult, lres, rres)
 
 
@@ -131,13 +131,6 @@ def enumerate_residuated_binars(n: int) -> Iterator[FiniteBinar]:
 _IDENTITY_BIT = {name: i for i, name in enumerate(IDENTITY_NAMES)}
 
 _pool_cache: dict[int, tuple[tuple[FiniteBinar, int], ...]] = {}
-
-
-def _identity_name(ident: Identity | str) -> str:
-    name = ident if isinstance(ident, str) else ident.name
-    if name not in _IDENTITY_BIT:
-        raise KeyError(f"not a distributivity identity: {name!r}")
-    return name
 
 
 def identity_profile(b: FiniteBinar) -> int:
@@ -164,10 +157,10 @@ def _constraint_masks(
 ) -> tuple[int, int]:
     need = 0
     for ident in assume:
-        need |= 1 << _IDENTITY_BIT[_identity_name(ident)]
+        need |= 1 << _IDENTITY_BIT[identity_name(ident)]
     avoid = 0
     if refute is not None:
-        avoid = 1 << _IDENTITY_BIT[_identity_name(refute)]
+        avoid = 1 << _IDENTITY_BIT[identity_name(refute)]
     return need, avoid
 
 
@@ -186,9 +179,6 @@ def count_models(
     refute: Identity | str | None = None,
 ) -> int:
     """Exact number of labeled models meeting the constraints."""
+    pool = _model_pool(n)
     need, avoid = _constraint_masks(assume, refute)
-    return sum(
-        1
-        for _, mask in _model_pool(n)
-        if mask & need == need and not mask & avoid
-    )
+    return sum(1 for _, mask in pool if mask & need == need and not mask & avoid)

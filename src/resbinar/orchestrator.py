@@ -38,6 +38,8 @@ from .solver import DEFAULT_SOLVER, SAT, UNKNOWN, UNSAT, solve
 from .terms import DISTRIBUTIVITY_NAMES
 
 SIZE_CEILING = 14
+# seconds: a worker's deadline is waited on in whole milliseconds, at most 2**31 - 1
+TIMEOUT_CEILING = 2_147_483
 # fork, whatever the interpreter's default: the coordinator must be the
 # worker's parent for its setpgid to make the group before any kill
 _FORK = mp.get_context("fork")
@@ -60,6 +62,15 @@ RULES: tuple[tuple[frozenset[str], str], ...] = (
 
 class ConfigError(ValueError):
     pass
+
+
+def check_timeout(timeout: float | None) -> None:
+    """Raise ConfigError unless timeout is None (no limit) or a number of
+    seconds with 0 < timeout <= TIMEOUT_CEILING."""
+    if timeout is not None and not 0 < timeout <= TIMEOUT_CEILING:
+        raise ConfigError(
+            f"invalid timeout: {timeout} (need 0 < seconds <= {TIMEOUT_CEILING})"
+        )
 
 
 def implication_closure(identities: Iterable[str]) -> frozenset[str]:
@@ -127,8 +138,7 @@ class GridConfig:
             )
         if self.workers < 1:
             raise ConfigError("worker count must be at least 1")
-        if self.timeout is not None and not self.timeout > 0:
-            raise ConfigError(f"timeout must be a positive number of seconds: {self.timeout}")
+        check_timeout(self.timeout)
 
 
 @dataclass(frozen=True)
@@ -380,6 +390,7 @@ def run_task(task: SearchTask, solver_spec: str,
              timeout: float | None = None) -> tuple[str, FiniteBinar | None, str | None]:
     """Solve one task in a worker killed after `timeout` seconds (None for
     no limit); returns the verified (status, model, reason)."""
+    check_timeout(timeout)
     worker = _Worker(task, solver_spec)
     try:
         if not worker.conn.poll(timeout):

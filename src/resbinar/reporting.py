@@ -10,7 +10,7 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable
 
-from .algebra import FiniteBinar, UnknownOp, covering_relation, derive_order
+from .algebra import FiniteBinar, UnknownOp, covering_relation, order_from_tables
 from .orchestrator import SearchResult, goal_of
 from .solver import SAT, UNKNOWN
 from .terms import OPS
@@ -59,8 +59,7 @@ def cayley_latex(b: FiniteBinar, op: str) -> str:
 def _ranks(b: FiniteBinar) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """The elements of each longest-chain-from-bottom rank, lowest rank
     first, plus covering edges."""
-    order = derive_order(b)
-    covers = list(covering_relation(order))
+    covers = list(covering_relation(order_from_tables(b.meet, b.join)))
     n = b.size
     rank = [0] * n
     changed = True

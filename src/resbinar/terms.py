@@ -244,6 +244,15 @@ LATTICE_IDENTITIES: tuple[Identity, ...] = tuple(
 IDENTITY_NAMES = DISTRIBUTIVITY_NAMES + ("LD",)
 
 
+def identity_name(ident: Identity | str) -> str:
+    """The name of D1..D6 or LD, given by name or as the identity; a
+    ValueError for anything else."""
+    name = ident if isinstance(ident, str) else ident.name
+    if name not in IDENTITY_NAMES:
+        raise ValueError(f"not one of {IDENTITY_NAMES}: {name!r}")
+    return name
+
+
 def builtin(name: str) -> Identity:
     """Look up D1..D6 or LD by name."""
     try:

@@ -7,24 +7,21 @@ from resbinar.algebra import (
     FiniteBinar,
     NotResiduated,
     OrderInconsistent,
-    OrderRelation,
-    SizeMismatch,
     UnknownOp,
     Violation,
-    are_isomorphic,
     binar_from_dict,
     binar_to_dict,
+    canonical_form,
     check_identity,
     check_lattice,
     check_residuation,
     covering_relation,
-    derive_order,
     derive_residuals,
     lattice_tables,
     load_model,
     order_from_tables,
+    relabel,
     save_model,
-    table_isomorphism,
 )
 from resbinar.terms import builtin
 
@@ -38,9 +35,8 @@ from conftest import (
 
 
 def test_derive_order_two_chain(two_chain_min):
-    order = derive_order(two_chain_min)
-    assert order.leq == ((True, True), (False, True))
-    assert order.holds(0, 1) and not order.holds(1, 0)
+    leq = order_from_tables(two_chain_min.meet, two_chain_min.join)
+    assert leq == ((True, True), (False, True))
 
 
 def test_order_from_tables_rejects_disagreeing_join():
@@ -126,7 +122,7 @@ def test_lattice_tables_match_the_reference_on_every_order():
 
 
 def test_derive_residuals_rejects_an_order_that_is_no_lattice():
-    antichain = OrderRelation(2, ((True, False), (False, True)))
+    antichain = ((True, False), (False, True))
     with pytest.raises(OrderInconsistent):
         derive_residuals(antichain, ((0, 0), (0, 0)))
 
@@ -225,65 +221,57 @@ def test_derive_residuals_round_trips_through_check():
 def test_mult_monotone_on_residuated_models(two_chain_min, m3_zero, n5_zero):
     # Residuation forces mult to preserve order in both arguments.
     for b in (two_chain_min, m3_zero, n5_zero):
-        order = derive_order(b)
+        leq = order_from_tables(b.meet, b.join)
         for x, y, u in itertools.product(range(b.size), repeat=3):
-            if order.holds(x, y):
-                assert order.holds(b.mult[x][u], b.mult[y][u])
-                assert order.holds(b.mult[u][x], b.mult[u][y])
+            if leq[x][y]:
+                assert leq[b.mult[x][u]][b.mult[y][u]]
+                assert leq[b.mult[u][x]][b.mult[u][y]]
 
 
 def test_covering_relation_m3(m3_zero):
-    covers = set(covering_relation(derive_order(m3_zero)))
+    covers = set(covering_relation(order_from_tables(m3_zero.meet, m3_zero.join)))
     assert covers == {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)}
 
 
 def test_covering_relation_chain():
     meet, join = chain_tables(4)
     b = make_binar(meet, join, meet)
-    assert set(covering_relation(derive_order(b))) == {(0, 1), (1, 2), (2, 3)}
+    assert set(covering_relation(order_from_tables(b.meet, b.join))) == {
+        (0, 1), (1, 2), (2, 3)
+    }
+
+
+def _form(b):
+    return canonical_form(b.ops())[0]
 
 
 def test_are_isomorphic_identity(m3_zero):
-    assert are_isomorphic(m3_zero, m3_zero) == (0, 1, 2, 3, 4)
+    form, perm = canonical_form(m3_zero.ops())
+    assert form == tuple(relabel(m3_zero.table(op), perm) for op in sorted(m3_zero.ops()))
 
 
 def test_are_isomorphic_atom_swap(m3_zero):
-    # Relabeling the three atoms of M3 commutes with all operations.
-    perm = (0, 2, 3, 1, 4)
-    tables = {}
-    for op, table in m3_zero.ops().items():
-        out = [[0] * 5 for _ in range(5)]
-        for x in range(5):
-            for y in range(5):
-                out[perm[x]][perm[y]] = perm[table[x][y]]
-        tables[op] = tuple(tuple(r) for r in out)
-    other = FiniteBinar(5, **tables)
-    found = are_isomorphic(m3_zero, other)
-    assert found is not None
-    for op, table in m3_zero.ops().items():
-        for x in range(5):
-            for y in range(5):
-                assert other.table(op)[found[x]][found[y]] == found[table[x][y]]
+    # Relabeling the three atoms of M3 commutes with all operations; the
+    # second relabeling also moves bottom and top, so its tables differ.
+    for perm in ((0, 2, 3, 1, 4), (3, 0, 4, 1, 2)):
+        other = FiniteBinar(5, **{op: relabel(t, perm) for op, t in m3_zero.ops().items()})
+        assert (other == m3_zero) == (perm[0] == 0)
+        assert _form(other) == _form(m3_zero)
 
 
 def test_are_isomorphic_distinguishes_mult(two_chain_min):
     meet, join = chain_tables(2)
     zero = make_binar(meet, join, [[0, 0], [0, 0]])
-    assert are_isomorphic(two_chain_min, zero) is None
-
-
-def test_are_isomorphic_size_mismatch(two_chain_min, m3_zero):
-    with pytest.raises(SizeMismatch):
-        are_isomorphic(two_chain_min, m3_zero)
+    assert _form(two_chain_min) != _form(zero)
 
 
 def test_table_isomorphism_relabeled_chain():
     a = {"meet": ((0, 0), (0, 1)), "join": ((0, 1), (1, 1)), "mult": ((0, 0), (0, 1))}
     # same algebra with labels 0 and 1 swapped: min becomes max
     b = {"meet": ((0, 1), (1, 1)), "join": ((0, 0), (0, 1)), "mult": ((0, 1), (1, 1))}
-    assert table_isomorphism(2, a, b) == (1, 0)
-    with pytest.raises(ValueError):
-        table_isomorphism(2, a, {"meet": a["meet"], "join": a["join"]})
+    (form_a, perm_a), (form_b, perm_b) = canonical_form(a), canonical_form(b)
+    assert form_a == form_b
+    assert (perm_a, perm_b) == ((0, 1), (1, 0))
 
 
 def _least_relabeling(n, tables):
@@ -305,9 +293,9 @@ def _least_relabeling(n, tables):
 
 def test_table_isomorphism_agrees_with_brute_force():
     """Referee: on every pair, self-pairs included, of the labeled lattices
-    at n = 4 and of the residuated binars at n = 3, an isomorphism is found
-    exactly when the brute-force least relabelings agree, and every one
-    found commutes with every table."""
+    at n = 4 and of the residuated binars at n = 3, two canonical forms are
+    equal exactly when the brute-force least relabelings are, and each
+    form is the tables relabeled by the perm returned with it."""
     from resbinar.oracle import enumerate_lattices, enumerate_residuated_binars
 
     families = (
@@ -317,16 +305,14 @@ def test_table_isomorphism_agrees_with_brute_force():
     pairs = 0
     for n, items in families:
         keys = [_least_relabeling(n, tables) for tables in items]
+        forms = []
+        for tables in items:
+            form, perm = canonical_form(tables)
+            assert sorted(perm) == list(range(n))
+            assert form == tuple(relabel(tables[name], perm) for name in sorted(tables))
+            forms.append(form)
         for i, j in itertools.combinations_with_replacement(range(len(items)), 2):
-            a, b = items[i], items[j]
-            perm = table_isomorphism(n, a, b)
-            assert (perm is None) == (keys[i] != keys[j]), (n, i, j)
-            if perm is not None:
-                assert sorted(perm) == list(range(n))
-                for name in a:
-                    for x in range(n):
-                        for y in range(n):
-                            assert b[name][perm[x]][perm[y]] == perm[a[name][x][y]]
+            assert (forms[i] == forms[j]) == (keys[i] == keys[j]), (n, i, j)
             pairs += 1
     assert pairs == 7926
 

@@ -125,7 +125,7 @@ def test_search_invalid_task(capsys):
 
 
 def test_search_rejects_a_timeout_that_is_not_positive(capsys):
-    for timeout in ("0", "-1", "nan"):
+    for timeout in ("0", "-1", "nan", "inf", "3e6"):
         code = main(["search", "--size", "2", "--solver", "builtin", "--timeout", timeout])
         assert code == 2
         assert "invalid timeout" in capsys.readouterr().err
@@ -373,9 +373,11 @@ def test_report_rejects_a_line_that_is_json_but_no_record(tmp_path, capsys, line
 
 def test_grid_rejects_bad_config(tmp_path, capsys):
     assert main(["grid", "--targets", "D9", "--max-size", "2"]) == 2
-    for timeout in ("0", "-1"):
+    capsys.readouterr()
+    for timeout in ("0", "-1", "inf", "3e6"):
         assert main(["grid", "--max-size", "2", "--timeout", timeout,
                      "--out", str(tmp_path)]) == 2
+        assert "invalid timeout" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

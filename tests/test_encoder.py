@@ -309,8 +309,8 @@ def test_cached_base_encodes_like_a_cold_one(tmp_path, monkeypatch):
 def test_changing_an_encoding_leaves_the_cached_base_alone(tmp_path, monkeypatch):
     monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
     task = SearchTask.make(3, assume=("D1",), refute="D3")
-    # the first encoding of a size fills the cache: its base and, read from
-    # this encoding's own clause store, the templates of both blocks
+    # the first encoding of a size fills the cache: its base and, copied
+    # out of this encoding's clause store, the templates of both blocks
     cnf = encode_search(task)
     assert set(resbinar.encoder._SIZES[3].blocks) == {("assume", "D1"), ("refute", "D3")}
     before = dimacs_bytes(cnf, tmp_path)

@@ -74,7 +74,7 @@ def test_grid_config_validation():
         GridConfig(max_size=99)
     with pytest.raises(ConfigError):
         GridConfig(workers=0)
-    for timeout in (0, -1, float("nan")):
+    for timeout in (0, -1, float("nan"), float("inf"), 3e6):
         with pytest.raises(ConfigError):
             GridConfig(timeout=timeout)
     with pytest.raises(ConfigError):
