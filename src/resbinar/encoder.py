@@ -152,7 +152,8 @@ class CnfInstance:
     encode_search starts as a copy of its size's base clauses, which
     _size_cache keeps for the life of the process (2.5 MiB of arrays at
     n = 7, 8.9 MiB at n = 9), and gets each block it shares with an earlier
-    task of its size as a renumbered copy of that block's template.
+    task of its size in the same process, a grid worker's included, as a
+    renumbered copy of that block's template.
 
     symmetries holds variable permutations, each of length num_vars + 1
     with perm[0] = 0, that map the clause set onto itself (literal sets,
@@ -253,7 +254,10 @@ class _Size:
 
     Templates, once replayed, hold 0.45 MB at n = 3 and 1.9 MB at n = 4
     for all fourteen blocks, and 2.8 MB (assumed) to 3.1 MB (refuted) per
-    block at n = 7, beside 2.5 MiB of base arrays there.
+    block at n = 7, beside 2.5 MiB of base arrays there.  A grid worker
+    answers task after task for the length of its grid, so its later tasks
+    of a size replay what its first one recorded, and it keeps every size
+    it has seen.
     """
 
     def __init__(self, n: int):

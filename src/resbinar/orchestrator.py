@@ -10,10 +10,18 @@ the single writer of the result file and re-verifies every claimed model
 before recording it.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
-leads its own process group.  This is the package's one time limit: at the
-deadline, or when the caller unwinds (an exception, Ctrl-C, or SIGTERM and
-SIGHUP, which `cli.main` turns into `SystemExit`), the whole group is
-killed, an external solver included, whatever the engine and layer.
+leads its own process group.  This is the package's one time limit: a
+task's deadline is its submission plus the timeout, and at the deadline,
+or when the caller unwinds (an exception, Ctrl-C, or SIGTERM and SIGHUP,
+which `cli.main` turns into `SystemExit`), the whole group is killed, an
+external solver included, whatever the engine and layer.
+
+A grid keeps at most `workers` worker processes and hands each the next
+task when it answers, so the encoder's per-size caches stay warm from
+task to task.  A worker whose task timed out, that died without an answer
+or that answered ERROR is killed, and a fresh one is forked when a task
+needs it; every worker is killed when the grid ends.  A worker also
+exits when the pipe from its coordinator closes.
 """
 
 from __future__ import annotations
@@ -293,51 +301,66 @@ def _end_last_line(path: Path) -> None:
 
 # --- execution -----------------------------------------------------------------
 
-def _solve_task(task: SearchTask, solver_spec: str, scratch: str, conn) -> None:
-    """Worker body: encode, solve, decode; runs in a disposable process."""
+def _serve(solver_spec: str, scratch: str, conn, parent_end) -> None:
+    """Worker body: answer each task received on `conn` (encode, solve,
+    decode) until the coordinator's end closes; the size caches of
+    encode_search stay warm from task to task."""
     os.setpgid(0, 0)
+    # else this process would hold its own pipe open and never see EOF
+    parent_end.close()
     # a killed solve cannot clean up; its temporary files go with `scratch`
     tempfile.tempdir = scratch
-    start = time.monotonic()
-    try:
-        cnf = encode_search(task, EncodeOptions(symmetry=True))
-        result = solve(cnf, solver_spec)
-        payload = {
-            "status": result.status,
-            "seconds": time.monotonic() - start,
-            "reason": result.reason,
-        }
-        if result.status == SAT:
-            model = decode_model(result.assignment, cnf.varmap, task.size)
-            payload["model"] = binar_to_dict(model)
-        conn.send(payload)
-    except Exception as exc:  # surfaced as a task failure, never a crash
-        conn.send({
-            "status": ERROR,
-            "seconds": time.monotonic() - start,
-            "reason": f"{type(exc).__name__}: {exc}",
-        })
-    finally:
-        conn.close()
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):  # the coordinator is gone
+            return
+        start = time.monotonic()
+        try:
+            cnf = encode_search(task, EncodeOptions(symmetry=True))
+            result = solve(cnf, solver_spec)
+            payload = {
+                "status": result.status,
+                "seconds": time.monotonic() - start,
+                "reason": result.reason,
+            }
+            if result.status == SAT:
+                model = decode_model(result.assignment, cnf.varmap, task.size)
+                payload["model"] = binar_to_dict(model)
+        except Exception as exc:  # surfaced as a task failure, never a crash
+            payload = {
+                "status": ERROR,
+                "seconds": time.monotonic() - start,
+                "reason": f"{type(exc).__name__}: {exc}",
+            }
+        try:
+            conn.send(payload)
+        except OSError:  # the coordinator is gone
+            return
 
 
 class WorkerStartError(OSError):
-    """A task's worker process, its pipe or its scratch directory could not
-    be made (the process table or the file descriptors are full)."""
+    """A worker process, its pipe or its scratch directory could not be
+    made (the process table or the file descriptors are full)."""
 
 
 class _Worker:
-    """One task in its own process, which leads a process group of its own
-    so that stop() kills every process the solve started."""
+    """A process that answers one task at a time, for as many tasks as it
+    is given, and leads a process group of its own so that stop() kills
+    every process a solve started.  task is the one it is answering, None
+    while it waits; started is when that task was submitted."""
 
-    def __init__(self, task: SearchTask, solver_spec: str):
-        self.started = time.monotonic()
+    def __init__(self, solver_spec: str):
+        self.task: SearchTask | None = None
+        self.started = 0.0
         scratch, ends = None, []
         try:
             self.scratch = scratch = tempfile.mkdtemp(prefix="resbinar-")
-            ends += _FORK.Pipe(duplex=False)
+            ends += _FORK.Pipe()
             self.conn, child = ends
-            self.proc = _FORK.Process(target=_solve_task, args=(task, solver_spec, scratch, child))
+            self.proc = _FORK.Process(
+                target=_serve, args=(solver_spec, scratch, child, self.conn)
+            )
             self.proc.start()
         except OSError as exc:
             for end in ends:
@@ -350,6 +373,13 @@ class _Worker:
         try:
             os.setpgid(self.proc.pid, self.proc.pid)
         except OSError:  # the worker has already exited
+            pass
+
+    def submit(self, task: SearchTask) -> None:
+        self.task, self.started = task, time.monotonic()
+        try:
+            self.conn.send(task)
+        except OSError:  # the worker has died: receive() reports it
             pass
 
     def receive(self) -> dict | None:
@@ -391,8 +421,9 @@ def run_task(task: SearchTask, solver_spec: str,
     """Solve one task in a worker killed after `timeout` seconds (None for
     no limit); returns the verified (status, model, reason)."""
     check_timeout(timeout)
-    worker = _Worker(task, solver_spec)
+    worker = _Worker(solver_spec)
     try:
+        worker.submit(task)
         if not worker.conn.poll(timeout):
             return UNKNOWN, None, f"timeout after {timeout}s"
         payload = worker.receive()
@@ -453,21 +484,26 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 fresh.append(task)
         queue[:] = fresh
 
-    in_flight: dict = {}  # worker connection -> (task, worker)
+    pool: list[_Worker] = []  # at most config.workers, busy or waiting
 
     def dispatch() -> None:
-        busy = {goal_of(task) for task, _ in in_flight.values()}
+        busy = {goal_of(w.task) for w in pool if w.task is not None}
         for goal, queue in pending.items():
-            if len(in_flight) >= config.workers:
+            if len(busy) >= config.workers:
                 return
             if queue and goal not in busy:
-                task = queue.pop(0)
-                worker = _Worker(task, config.solver)
-                in_flight[worker.conn] = (task, worker)
+                worker = next((w for w in pool if w.task is None), None)
+                if worker is None:
+                    worker = _Worker(config.solver)
+                    pool.append(worker)
+                worker.submit(queue.pop(0))
+                busy.add(goal)
 
-    def finish(task: SearchTask, worker: _Worker, status, model, reason, seconds) -> None:
+    def retire(worker: _Worker) -> None:
         worker.stop()
-        del in_flight[worker.conn]
+        pool.remove(worker)
+
+    def finish(task: SearchTask, status, model, reason, seconds) -> None:
         if status == FAIL:
             reason = "model failed verification: " + reason.replace("\n", "; ")
         if status in (ERROR, FAIL):
@@ -485,24 +521,29 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
 
     try:
         dispatch()
-        while in_flight:
+        while in_flight := {w.conn: w for w in pool if w.task is not None}:
             wait = None
             if config.timeout is not None:
-                first = min(w.started for _, w in in_flight.values())
+                first = min(w.started for w in in_flight.values())
                 wait = max(0.0, first + config.timeout - time.monotonic())
             for conn in conn_wait(list(in_flight), timeout=wait):
-                task, worker = in_flight[conn]
-                payload = worker.receive()
+                worker = in_flight.pop(conn)
+                task, payload = worker.task, worker.receive()
+                worker.task = None
                 seconds = (payload or {}).get("seconds", time.monotonic() - worker.started)
-                finish(task, worker, *_verdict(task, payload), seconds)
+                if payload is None or payload["status"] == ERROR:
+                    retire(worker)  # dead, or its process may be what failed
+                finish(task, *_verdict(task, payload), seconds)
             if config.timeout is not None:
                 now = time.monotonic()
-                for task, worker in list(in_flight.values()):
+                for worker in in_flight.values():
                     if now >= worker.started + config.timeout:
-                        finish(task, worker, UNKNOWN, None,
+                        task = worker.task
+                        retire(worker)
+                        finish(task, UNKNOWN, None,
                                f"timeout after {config.timeout}s", now - worker.started)
             dispatch()
     finally:
-        for _, worker in in_flight.values():
+        for worker in pool:
             worker.stop()
     return outcome

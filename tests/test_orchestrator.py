@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import tempfile
 import time
 import warnings
 
@@ -403,6 +406,132 @@ def test_interrupted_run_grid_leaves_no_process(tmp_path, monkeypatch):
         assert gone(read_pid(pid_file))
     finally:
         kill_leftovers(pid_file)
+
+
+def counted_forks(monkeypatch) -> list:
+    """The worker processes started from now on, in start order."""
+    started = []
+    start = resbinar.orchestrator._FORK.Process.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(resbinar.orchestrator._FORK.Process, "start", counted)
+    return started
+
+
+def test_a_grid_forks_only_as_many_workers_as_it_keeps(tmp_path, monkeypatch):
+    started = counted_forks(monkeypatch)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path, targets=("D3", "D4"), workers=2, max_size=4, solver="builtin"
+    )
+    assert outcome.ok, outcome.errors
+    answered = [r for r in outcome.results if "cancelled" not in (r.reason or "")]
+    assert len(answered) > config.workers
+    assert len(started) == config.workers
+
+
+def grid_with_a_bad_task(tmp_path, monkeypatch, misbehave, **overrides):
+    """D3 over {D4} and over {} with LD at n = 2, each task's encoding
+    preceded by misbehave(task) in its worker.  Returns the outcome, and
+    each task's result and the pid of the worker that encoded it, both
+    keyed "D4" or ""."""
+    log = tmp_path / "pids"
+    encode = resbinar.orchestrator.encode_search
+
+    def logged(task, options):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{'D4' if 'D4' in task.assume else ''} {os.getpid()}\n")
+        misbehave(task)
+        return encode(task, options)
+
+    monkeypatch.setattr(resbinar.orchestrator, "encode_search", logged)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", subsets=(frozenset({"D4"}), frozenset()), max_size=2,
+        solver="builtin", **overrides,
+    )
+    results = {"D4" if "D4" in r.task.assume else "": r for r in outcome.results}
+    pids = {}
+    for line in log.read_text().splitlines():
+        key, _, pid = line.rpartition(" ")
+        pids[key] = int(pid)
+    return outcome, results, pids
+
+
+def hang_on_d4(pid_file):
+    """misbehave for grid_with_a_bad_task: the {D4} task starts `sleep 30`,
+    writes its pid to pid_file and never returns."""
+    def hang(task):
+        if "D4" in task.assume:
+            sleeper = subprocess.Popen(["sleep", "30"])
+            pid_file.with_suffix(".tmp").write_text(str(sleeper.pid))
+            pid_file.with_suffix(".tmp").replace(pid_file)
+            time.sleep(30)
+    return hang
+
+
+def test_a_timed_out_worker_is_killed_with_its_group_and_replaced(tmp_path, monkeypatch):
+    pid_file = tmp_path / "sleep.pid"
+    try:
+        outcome, results, pids = grid_with_a_bad_task(
+            tmp_path, monkeypatch, hang_on_d4(pid_file), timeout=1.0
+        )
+        assert results["D4"].reason == "timeout after 1.0s"
+        assert results[""].status == "UNSAT"
+        assert gone(read_pid(pid_file)) and gone(pids["D4"])
+        assert pids[""] != pids["D4"]
+    finally:
+        kill_leftovers(pid_file)
+
+
+def test_a_worker_whose_task_raised_is_not_reused(tmp_path, monkeypatch):
+    def fail(task):
+        if "D4" in task.assume:
+            raise RuntimeError("encoder broke")
+
+    outcome, results, pids = grid_with_a_bad_task(tmp_path, monkeypatch, fail)
+    assert results["D4"].status == "UNKNOWN"
+    assert results["D4"].reason == "RuntimeError: encoder broke"
+    assert outcome.errors == [f"{results['D4'].task.describe()}: RuntimeError: encoder broke"]
+    assert results[""].status == "UNSAT"
+    assert pids[""] != pids["D4"]
+
+
+def test_a_grid_with_a_timeout_leaves_no_process_and_no_scratch(tmp_path, monkeypatch):
+    # two workers: one is killed at its task's deadline, the other waits
+    # idle when the grid ends
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    pid_file = tmp_path / "sleep.pid"
+    try:
+        outcome, results, pids = grid_with_a_bad_task(
+            tmp_path, monkeypatch, hang_on_d4(pid_file), timeout=1.0, workers=2
+        )
+        assert [results[s].status for s in ("D4", "")] == ["UNKNOWN", "UNSAT"]
+        assert multiprocessing.active_children() == []
+        assert list(scratch.glob("resbinar-*")) == []
+    finally:
+        kill_leftovers(pid_file)
+
+
+def test_workers_exit_when_their_coordinator_closes_its_pipes(capfd):
+    # the second worker holds a copy of the first's pipe end, so the first
+    # sees EOF only once the second has exited; the first has a task, whose
+    # answer has nowhere to go
+    workers = [resbinar.orchestrator._Worker("builtin") for _ in range(2)]
+    try:
+        workers[0].submit(SearchTask(3, refute="D1"))
+        for worker in workers:
+            worker.conn.close()
+        for worker in workers:
+            worker.proc.join(5)
+        assert [worker.proc.exitcode for worker in workers] == [0, 0]
+        assert "Traceback" not in capfd.readouterr().err
+    finally:
+        for worker in workers:
+            worker.stop()
 
 
 def pinned_grid(out_dir):
