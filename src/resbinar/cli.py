@@ -33,6 +33,7 @@ from .orchestrator import (
     ERROR,
     FAIL,
     RESULTS_NAME,
+    SETTLED,
     ConfigError,
     GridConfig,
     WorkerStartError,
@@ -207,7 +208,9 @@ def _cmd_grid(args) -> int:
         flag = " [expected UNSAT]" if expects_unsat(result.task) else ""
         print(f"{result.task.describe():50s} {result.status}{flag}{extra}")
     sat = [r for r in outcome.results if r.status == SAT]
+    settled = [r for r in outcome.results if (r.reason or "").startswith(SETTLED)]
     print(f"{len(outcome.results)} results, {len(sat)} SAT, "
+          f"{len(settled)} settled by other answers, "
           f"{len(outcome.violations)} expectation violations, "
           f"{len(outcome.errors)} errors")
     for violation in outcome.violations:

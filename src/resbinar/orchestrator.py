@@ -5,9 +5,17 @@ names, is one independence question: can the target identity fail while
 the assumptions hold?  It is a task without its size; LD is one of the
 assumptions, so a subset with and without LD makes two goals.  Goals run
 their sizes in ascending order, so the first SAT is the minimal witness
-within the range; different goals run concurrently.  The coordinator is
-the single writer of the result file and re-verifies every claimed model
-before recording it.
+within the range; different goals run concurrently, those with the fewest
+assumptions first.  The coordinator is the single writer of the result
+file and re-verifies every claimed model before recording it.
+
+An answer settles other goals' tasks of its size without a solve: an
+UNSAT for (A, t, n) answers (A', t, n) for every A' containing A, since
+more assumptions admit no more models, and a verified model answers every
+task whose assumptions hold in it and whose target fails in it, after the
+coordinator verifies it for that task too.  Only a goal with no task in
+flight, whose next size is the answer's, is settled, so each goal's
+records still ascend in size.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
 leads its own process group.  This is the package's one time limit: a
@@ -21,7 +29,9 @@ task when it answers, so the encoder's per-size caches stay warm from
 task to task.  A worker whose task timed out, that died without an answer
 or that answered ERROR is killed, and a fresh one is forked when a task
 needs it; every worker is killed when the grid ends.  A worker also
-exits when the pipe from its coordinator closes.
+exits when the pipe from its coordinator closes: each worker closes its
+copies of the coordinator's ends of every pipe that was open when it was
+forked, so that no worker keeps another's pipe open.
 """
 
 from __future__ import annotations
@@ -35,15 +45,16 @@ import signal
 import tempfile
 import time
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as conn_wait
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, verify
+from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, check_identity, verify
 from .encoder import EncodeOptions, SearchTask, decode_model, encode_search
 from .solver import DEFAULT_SOLVER, SAT, UNKNOWN, UNSAT, solve
-from .terms import DISTRIBUTIVITY_NAMES
+from .terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
 
 SIZE_CEILING = 14
 # seconds: a worker's deadline is waited on in whole milliseconds, at most 2**31 - 1
@@ -53,6 +64,7 @@ TIMEOUT_CEILING = 2_147_483
 _FORK = mp.get_context("fork")
 RESULTS_NAME = "results.jsonl"
 _CANCELLED = "cancelled: goal satisfied at size"
+SETTLED = "settled by"
 
 # not answers: the worker died or raised (ERROR) or sent a bad model (FAIL)
 ERROR = "ERROR"
@@ -301,13 +313,21 @@ def _end_last_line(path: Path) -> None:
 
 # --- execution -----------------------------------------------------------------
 
-def _serve(solver_spec: str, scratch: str, conn, parent_end) -> None:
+# The coordinator's ends of the workers' pipes.  A fork copies every one
+# of them, and a copy left open in one worker would keep another worker's
+# pipe from closing when the coordinator dies.
+_COORDINATOR_ENDS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _serve(solver_spec: str, scratch: str, conn) -> None:
     """Worker body: answer each task received on `conn` (encode, solve,
     decode) until the coordinator's end closes; the size caches of
     encode_search stay warm from task to task."""
     os.setpgid(0, 0)
-    # else this process would hold its own pipe open and never see EOF
-    parent_end.close()
+    # else this process would hold its own pipe, or an earlier worker's,
+    # open and never let it see EOF
+    for end in _COORDINATOR_ENDS:
+        end.close()
     # a killed solve cannot clean up; its temporary files go with `scratch`
     tempfile.tempdir = scratch
     while True:
@@ -358,9 +378,8 @@ class _Worker:
             self.scratch = scratch = tempfile.mkdtemp(prefix="resbinar-")
             ends += _FORK.Pipe()
             self.conn, child = ends
-            self.proc = _FORK.Process(
-                target=_serve, args=(solver_spec, scratch, child, self.conn)
-            )
+            _COORDINATOR_ENDS.add(self.conn)
+            self.proc = _FORK.Process(target=_serve, args=(solver_spec, scratch, child))
             self.proc.start()
         except OSError as exc:
             for end in ends:
@@ -435,10 +454,20 @@ def run_task(task: SearchTask, solver_spec: str,
 def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     """Dispatch tasks to worker processes; single-writer, resumable.
 
+    Goals are dispatched with the fewest assumptions first, ties in the
+    order given, so that goals tend to reach each size together.  Each SAT
+    or UNSAT a worker answers settles the next task of every idle goal
+    that it answers at its size (see the module docstring): the task is
+    recorded with that status, the model for a SAT, reason "settled by"
+    the answered task, and the seconds spent checking it, and is not
+    solved.  Answers replayed from the file, failures and timeouts settle
+    nothing.
+
     A rerun into the same directory replays the recorded SAT and UNSAT
-    answers, and the cancellations behind a replayed SAT of the same goal.
-    Every other task runs again: one with no record, and one whose record
-    is a failure, a timeout or a cancellation whose SAT is not on record.
+    answers, settled ones included, and the cancellations behind a
+    replayed SAT of the same goal.  Every other task runs again: one with
+    no record, and one whose record is a failure, a timeout or a
+    cancellation whose SAT is not on record.
     """
     outcome = GridOutcome()
     try:
@@ -455,6 +484,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         pending.setdefault(goal_of(task), []).append(task)
     for queue in pending.values():
         queue.sort(key=lambda task: task.size)
+    pending = dict(sorted(pending.items(), key=lambda item: len(item[0][1])))
 
     def record(result: SearchResult) -> None:
         persist_result(result, config.out_dir)
@@ -503,12 +533,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         worker.stop()
         pool.remove(worker)
 
-    def finish(task: SearchTask, status, model, reason, seconds) -> None:
-        if status == FAIL:
-            reason = "model failed verification: " + reason.replace("\n", "; ")
-        if status in (ERROR, FAIL):
-            outcome.errors.append(f"{task.describe()}: {reason}")
-            status = UNKNOWN
+    def answer(task: SearchTask, status, model, reason, seconds) -> None:
         record(SearchResult(
             task=task, status=status, model=model, seconds=seconds,
             solver=config.solver, reason=reason,
@@ -518,6 +543,35 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
             for rest in queue:
                 cancel(rest, task.size)
             queue.clear()
+
+    def settle(by: SearchTask, status: str, model: FiniteBinar | None) -> None:
+        busy = {goal_of(w.task) for w in pool if w.task is not None}
+        if status == SAT:
+            holds = {name for name in IDENTITY_NAMES
+                     if check_identity(model, builtin(name)) is None}
+        for goal, queue in pending.items():
+            if goal in busy or not queue or queue[0].size != by.size:
+                continue
+            start, task = time.monotonic(), queue[0]
+            if status == UNSAT:
+                answered = task.refute == by.refute and by.assume <= task.assume
+            else:
+                answered = (task.assume <= holds and task.refute not in holds
+                            and not verify(task, model))
+            if answered:
+                queue.pop(0)
+                answer(task, status, model, f"{SETTLED} {by.describe()}",
+                       time.monotonic() - start)
+
+    def finish(task: SearchTask, status, model, reason, seconds) -> None:
+        if status == FAIL:
+            reason = "model failed verification: " + reason.replace("\n", "; ")
+        if status in (ERROR, FAIL):
+            outcome.errors.append(f"{task.describe()}: {reason}")
+            status = UNKNOWN
+        answer(task, status, model, reason, seconds)
+        if status in (SAT, UNSAT):
+            settle(task, status, model)
 
     try:
         dispatch()

@@ -302,6 +302,19 @@ def test_grid_and_report_end_to_end(tmp_path, capsys):
     assert "refute D3" in summary and "no model in range" in summary
 
 
+def test_grid_counts_results_settled_by_other_answers(tmp_path, capsys):
+    # the goal without LD runs first; its UNSAT at n = 2 settles the goal
+    # with LD, whose assumptions are a superset
+    code = main([
+        "grid", "--targets", "D3", "--ld", "both", "--min-size", "2", "--max-size", "2",
+        "--solver", "builtin", "--out", str(tmp_path / "results"),
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "settled by n=2 assume=D1,D2,D4,D5,D6 refute=D3" in out
+    assert "2 results, 0 SAT, 1 settled by other answers, 0 expectation violations" in out
+
+
 def test_grid_reports_an_out_path_it_cannot_write(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")

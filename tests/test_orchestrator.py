@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -11,7 +12,7 @@ import warnings
 import pytest
 
 import resbinar.orchestrator
-from resbinar.algebra import check_identity, check_lattice, check_residuation
+from resbinar.algebra import check_identity, check_lattice, check_residuation, verify
 from resbinar.encoder import SearchTask
 from resbinar.orchestrator import (
     ConfigError,
@@ -432,38 +433,54 @@ def test_a_grid_forks_only_as_many_workers_as_it_keeps(tmp_path, monkeypatch):
     assert len(started) == config.workers
 
 
-def grid_with_a_bad_task(tmp_path, monkeypatch, misbehave, **overrides):
-    """D3 over {D4} and over {} with LD at n = 2, each task's encoding
-    preceded by misbehave(task) in its worker.  Returns the outcome, and
-    each task's result and the pid of the worker that encoded it, both
-    keyed "D4" or ""."""
-    log = tmp_path / "pids"
+def subset_of(task) -> str:
+    """A task's assumptions other than LD, joined by commas: "" for none."""
+    return ",".join(sorted(task.assume - {"LD"}))
+
+
+def log_encodes(monkeypatch, log, misbehave=lambda task: None) -> None:
+    """Make each worker forked from now on append "<pid> <task>" to log for
+    every task it encodes, and call misbehave(task) before the encoding."""
     encode = resbinar.orchestrator.encode_search
 
     def logged(task, options):
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{'D4' if 'D4' in task.assume else ''} {os.getpid()}\n")
+            handle.write(f"{os.getpid()} {task.describe()}\n")
         misbehave(task)
         return encode(task, options)
 
     monkeypatch.setattr(resbinar.orchestrator, "encode_search", logged)
+
+
+def encoded(log) -> list[tuple[int, str]]:
+    """(pid, task.describe()) of each encoding log_encodes logged."""
+    return [(int(pid), task) for pid, _, task in
+            (line.partition(" ") for line in log.read_text().splitlines())]
+
+
+def grid_with_a_bad_task(tmp_path, monkeypatch, misbehave,
+                         subsets=(frozenset({"D4"}), frozenset({"D5"})), **overrides):
+    """D3 with LD at n = 2 over two subsets, by default {D4} and {D5}: as
+    neither holds the other, both tasks run whatever the other answers.
+    Each task's encoding is preceded by misbehave(task) in its worker.
+    Returns the outcome, and each task's result and the pid of the worker
+    that encoded it, both keyed by subset_of the task ("D4", "D5")."""
+    log = tmp_path / "encoded"
+    log_encodes(monkeypatch, log, misbehave)
     config, tasks, outcome = grid_to_completion(
-        tmp_path / "out", subsets=(frozenset({"D4"}), frozenset()), max_size=2,
-        solver="builtin", **overrides,
+        tmp_path / "out", subsets=subsets, max_size=2, solver="builtin", **overrides,
     )
-    results = {"D4" if "D4" in r.task.assume else "": r for r in outcome.results}
-    pids = {}
-    for line in log.read_text().splitlines():
-        key, _, pid = line.rpartition(" ")
-        pids[key] = int(pid)
+    results = {subset_of(r.task): r for r in outcome.results}
+    by_task = {task.describe(): subset_of(task) for task in tasks}
+    pids = {by_task[task]: pid for pid, task in encoded(log)}
     return outcome, results, pids
 
 
-def hang_on_d4(pid_file):
-    """misbehave for grid_with_a_bad_task: the {D4} task starts `sleep 30`,
-    writes its pid to pid_file and never returns."""
+def hang_on(subset, pid_file):
+    """misbehave for grid_with_a_bad_task: the task over `subset` starts
+    `sleep 30`, writes its pid to pid_file and never returns."""
     def hang(task):
-        if "D4" in task.assume:
+        if subset_of(task) == subset:
             sleeper = subprocess.Popen(["sleep", "30"])
             pid_file.with_suffix(".tmp").write_text(str(sleeper.pid))
             pid_file.with_suffix(".tmp").replace(pid_file)
@@ -471,31 +488,35 @@ def hang_on_d4(pid_file):
     return hang
 
 
+def fail_on(subset):
+    """misbehave for grid_with_a_bad_task: the task over `subset` raises."""
+    def fail(task):
+        if subset_of(task) == subset:
+            raise RuntimeError("encoder broke")
+    return fail
+
+
 def test_a_timed_out_worker_is_killed_with_its_group_and_replaced(tmp_path, monkeypatch):
     pid_file = tmp_path / "sleep.pid"
     try:
         outcome, results, pids = grid_with_a_bad_task(
-            tmp_path, monkeypatch, hang_on_d4(pid_file), timeout=1.0
+            tmp_path, monkeypatch, hang_on("D4", pid_file), timeout=1.0
         )
         assert results["D4"].reason == "timeout after 1.0s"
-        assert results[""].status == "UNSAT"
+        assert results["D5"].status == "UNSAT"
         assert gone(read_pid(pid_file)) and gone(pids["D4"])
-        assert pids[""] != pids["D4"]
+        assert pids["D5"] != pids["D4"]
     finally:
         kill_leftovers(pid_file)
 
 
 def test_a_worker_whose_task_raised_is_not_reused(tmp_path, monkeypatch):
-    def fail(task):
-        if "D4" in task.assume:
-            raise RuntimeError("encoder broke")
-
-    outcome, results, pids = grid_with_a_bad_task(tmp_path, monkeypatch, fail)
+    outcome, results, pids = grid_with_a_bad_task(tmp_path, monkeypatch, fail_on("D4"))
     assert results["D4"].status == "UNKNOWN"
     assert results["D4"].reason == "RuntimeError: encoder broke"
     assert outcome.errors == [f"{results['D4'].task.describe()}: RuntimeError: encoder broke"]
-    assert results[""].status == "UNSAT"
-    assert pids[""] != pids["D4"]
+    assert results["D5"].status == "UNSAT"
+    assert pids["D5"] != pids["D4"]
 
 
 def test_a_grid_with_a_timeout_leaves_no_process_and_no_scratch(tmp_path, monkeypatch):
@@ -507,9 +528,9 @@ def test_a_grid_with_a_timeout_leaves_no_process_and_no_scratch(tmp_path, monkey
     pid_file = tmp_path / "sleep.pid"
     try:
         outcome, results, pids = grid_with_a_bad_task(
-            tmp_path, monkeypatch, hang_on_d4(pid_file), timeout=1.0, workers=2
+            tmp_path, monkeypatch, hang_on("D4", pid_file), timeout=1.0, workers=2
         )
-        assert [results[s].status for s in ("D4", "")] == ["UNKNOWN", "UNSAT"]
+        assert [results[s].status for s in ("D4", "D5")] == ["UNKNOWN", "UNSAT"]
         assert multiprocessing.active_children() == []
         assert list(scratch.glob("resbinar-*")) == []
     finally:
@@ -517,9 +538,7 @@ def test_a_grid_with_a_timeout_leaves_no_process_and_no_scratch(tmp_path, monkey
 
 
 def test_workers_exit_when_their_coordinator_closes_its_pipes(capfd):
-    # the second worker holds a copy of the first's pipe end, so the first
-    # sees EOF only once the second has exited; the first has a task, whose
-    # answer has nowhere to go
+    # the first has a task, whose answer has nowhere to go
     workers = [resbinar.orchestrator._Worker("builtin") for _ in range(2)]
     try:
         workers[0].submit(SearchTask(3, refute="D1"))
@@ -532,6 +551,93 @@ def test_workers_exit_when_their_coordinator_closes_its_pipes(capfd):
     finally:
         for worker in workers:
             worker.stop()
+
+
+def test_an_idle_worker_outlives_no_later_busy_worker(monkeypatch):
+    # as when the coordinator is SIGKILLed: the later fork, busy with a task
+    # that hangs, must not hold the earlier, idle worker's pipe open
+    monkeypatch.setattr(resbinar.orchestrator, "encode_search",
+                        lambda task, options: time.sleep(30))
+    workers = [resbinar.orchestrator._Worker("builtin") for _ in range(2)]
+    try:
+        workers[1].submit(SearchTask(2))
+        for worker in workers:
+            worker.conn.close()
+        workers[0].proc.join(5)
+        assert workers[0].proc.exitcode == 0
+        assert workers[1].proc.is_alive()
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+def test_answers_settle_the_tasks_they_answer(tmp_path, monkeypatch):
+    # grid-ld's shape for D3: every subset of the other five with LD, n = 2..4
+    log = tmp_path / "encoded"
+    log_encodes(monkeypatch, log)
+    others = [d for d in DISTRIBUTIVITY_NAMES if d != "D3"]
+    subsets = tuple(frozenset(c) for r in range(len(others) + 1)
+                    for c in itertools.combinations(others, r))
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", subsets=subsets, max_size=4, workers=2, solver="builtin"
+    )
+    assert outcome.ok, outcome.errors
+    assert len(outcome.results) == len(tasks) == 96
+    for result in outcome.results:
+        implied = "D3" in implication_closure(result.task.assume - {"LD"})
+        expected = "UNSAT" if result.task.size <= 3 or implied else "SAT"
+        assert result.status == expected, result.task.describe()
+    solved = {r.task.describe(): r for r in outcome.results
+              if not (r.reason or "").startswith("settled by ")}
+    settled = [r for r in outcome.results if r.task.describe() not in solved]
+    for result in settled:
+        by = solved[result.reason.removeprefix("settled by ")]
+        assert outcome.results.index(by) < outcome.results.index(result)
+        assert (by.status, by.task.size) == (result.status, result.task.size)
+        if result.status == "SAT":
+            assert result.model == by.model
+            assert verify(result.task, result.model) == []
+        else:
+            assert by.task.refute == "D3" and by.task.assume <= result.task.assume
+    assert sorted(task for _, task in encoded(log)) == sorted(solved)
+    assert len(solved) <= 16
+    path = tmp_path / "out" / "results.jsonl"
+    written = path.read_bytes()
+    assert run_grid(tasks, config).ok
+    assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("failure", ["raised", "timed-out"])
+def test_a_failed_task_settles_nothing(tmp_path, monkeypatch, failure):
+    # {} goes first, having fewer assumptions; had it answered UNSAT, that
+    # would have settled {D4}
+    pid_file = tmp_path / "sleep.pid"
+    if failure == "raised":
+        misbehave, overrides = fail_on(""), {}
+    else:
+        misbehave, overrides = hang_on("", pid_file), {"timeout": 1.0}
+    try:
+        outcome, results, pids = grid_with_a_bad_task(
+            tmp_path, monkeypatch, misbehave,
+            subsets=(frozenset({"D4"}), frozenset()), **overrides,
+        )
+        assert results[""].status == "UNKNOWN"
+        assert (results["D4"].status, results["D4"].reason) == ("UNSAT", None)
+        assert set(pids) == {"", "D4"}
+    finally:
+        kill_leftovers(pid_file)
+
+
+def test_an_unsat_settles_no_goal_of_another_target(tmp_path, monkeypatch):
+    log = tmp_path / "encoded"
+    log_encodes(monkeypatch, log)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", targets=("D3", "D4"), max_size=2, solver="builtin"
+    )
+    assert [(r.task.refute, r.status, r.reason) for r in outcome.results] == [
+        ("D3", "UNSAT", None), ("D4", "UNSAT", None)
+    ]
+    assert len(encoded(log)) == 2
 
 
 def pinned_grid(out_dir):
@@ -553,8 +659,29 @@ def pinned_grid(out_dir):
 
 # SHA-256 of the records (without `seconds`) and of the report bundle
 # that pinned_grid leaves; any change to what a grid writes shows here.
-GRID_RECORDS_DIGEST = "5f1d8d92c1ea313f0bb920a830e17a0563846dd8f131c9730b40fe40c37ddc06"
+GRID_RECORDS_DIGEST = "c8dae0b5a06a429a9eb973eaac0815c9aa419f45cf32ae64a99fd321e0849919"
 GRID_REPORT_DIGEST = "51d21012e4fbece9ae4c0948c0b58f547f7c0b36691ecc22ced940747f854dc3"
+
+
+# (size, assumptions, status) of each task pinned_grid records, as they
+# were before answers settled other tasks: settling changes no status
+PINNED_STATUSES = [
+    (2, (), "UNSAT"), (2, ("D4",), "UNSAT"), (2, ("D4", "D5", "LD"), "UNSAT"),
+    (2, ("D4", "LD"), "UNSAT"), (2, ("LD",), "UNSAT"),
+    (3, (), "UNSAT"), (3, ("D4",), "UNSAT"), (3, ("D4", "D5", "LD"), "UNSAT"),
+    (3, ("D4", "LD"), "UNSAT"), (3, ("LD",), "UNSAT"),
+    (4, (), "SAT"), (4, ("D4",), "SAT"), (4, ("D4", "D5", "LD"), "UNSAT"),
+    (4, ("D4", "LD"), "SAT"), (4, ("LD",), "SAT"),
+    (5, (), "UNKNOWN"), (5, ("D4",), "UNKNOWN"), (5, ("D4", "LD"), "UNKNOWN"),
+    (5, ("LD",), "UNKNOWN"),
+]
+
+
+def test_grid_statuses_are_pinned(tmp_path):
+    pinned_grid(tmp_path)
+    statuses = sorted((r.task.size, tuple(sorted(r.task.assume)), r.status)
+                      for r in load_results(tmp_path))
+    assert statuses == PINNED_STATUSES
 
 
 def test_grid_records_and_report_are_pinned(tmp_path):
