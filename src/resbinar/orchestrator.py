@@ -13,9 +13,14 @@ An answer settles other goals' tasks of its size without a solve: an
 UNSAT for (A, t, n) answers (A', t, n) for every A' containing A, since
 more assumptions admit no more models, and a verified model answers every
 task whose assumptions hold in it and whose target fails in it, after the
-coordinator verifies it for that task too.  Only a goal with no task in
-flight, whose next size is the answer's, is settled, so each goal's
-records still ascend in size.
+coordinator verifies it for that task too.  Every answer a worker gives
+is kept for the rest of the grid, and a goal's next task is checked
+against those of its size whenever the goal has no task in flight, so an
+answer also settles goals that reach its size later, and each goal's
+records still ascend in size.  So that the answer can come first, a task
+is not started while a task of the same target with fewer assumptions
+and no larger size is in flight, unless RULES predict it UNSAT and not
+the other: no model settles a predicted proof.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
 leads its own process group.  This is the package's one time limit: a
@@ -455,13 +460,15 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     """Dispatch tasks to worker processes; single-writer, resumable.
 
     Goals are dispatched with the fewest assumptions first, ties in the
-    order given, so that goals tend to reach each size together.  Each SAT
-    or UNSAT a worker answers settles the next task of every idle goal
-    that it answers at its size (see the module docstring): the task is
-    recorded with that status, the model for a SAT, reason "settled by"
-    the answered task, and the seconds spent checking it, and is not
-    solved.  Answers replayed from the file, failures and timeouts settle
-    nothing.
+    order given, so that goals tend to reach each size together; a goal
+    whose next task a task in flight may answer waits for that answer
+    (see the module docstring).  Each SAT or UNSAT a worker answers is
+    kept, and settles the next task of any goal with no task in flight
+    that it answers at its size, now or when the goal reaches that size:
+    the task is recorded with that status, the model for a SAT, reason
+    "settled by" the answered task, and the seconds of the one check that
+    settled it, and is not solved.  Answers replayed from the file,
+    settled answers, failures and timeouts settle nothing.
 
     A rerun into the same directory replays the recorded SAT and UNSAT
     answers, settled ones included, and the cancellations behind a
@@ -515,18 +522,34 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         queue[:] = fresh
 
     pool: list[_Worker] = []  # at most config.workers, busy or waiting
+    # per size, (task, status, model, identities holding in the model) of
+    # each SAT and UNSAT a worker answered in this call
+    answers: dict[int, list[tuple]] = {}
+    tried: dict[SearchTask, int] = {}  # answers of its size a task was checked against
+
+    def held(task: SearchTask, flying: list[SearchTask]) -> bool:
+        """Whether task waits for a task in flight whose goal may answer
+        it first: same target, fewer assumptions, no larger size; a
+        predicted proof waits only for another, as no model settles it."""
+        return any(
+            f.refute == task.refute and f.assume < task.assume and f.size <= task.size
+            and (expects_unsat(f) or not expects_unsat(task))
+            for f in flying
+        )
 
     def dispatch() -> None:
-        busy = {goal_of(w.task) for w in pool if w.task is not None}
+        flying = [w.task for w in pool if w.task is not None]
+        busy = {goal_of(task) for task in flying}
         for goal, queue in pending.items():
             if len(busy) >= config.workers:
                 return
-            if queue and goal not in busy:
+            if queue and goal not in busy and not held(queue[0], flying):
                 worker = next((w for w in pool if w.task is None), None)
                 if worker is None:
                     worker = _Worker(config.solver)
                     pool.append(worker)
                 worker.submit(queue.pop(0))
+                flying.append(worker.task)
                 busy.add(goal)
 
     def retire(worker: _Worker) -> None:
@@ -544,24 +567,32 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 cancel(rest, task.size)
             queue.clear()
 
-    def settle(by: SearchTask, status: str, model: FiniteBinar | None) -> None:
-        busy = {goal_of(w.task) for w in pool if w.task is not None}
-        if status == SAT:
-            holds = {name for name in IDENTITY_NAMES
-                     if check_identity(model, builtin(name)) is None}
-        for goal, queue in pending.items():
-            if goal in busy or not queue or queue[0].size != by.size:
-                continue
-            start, task = time.monotonic(), queue[0]
+    def settled_by(task: SearchTask) -> tuple | None:
+        """(status, model, reason, seconds) of the first stored answer of
+        task's size that settles it, None if none does; each answer is
+        checked against a task once, and seconds is that one check's."""
+        stored = answers.get(task.size, [])
+        for by, status, model, holds in stored[tried.get(task, 0):]:
+            start = time.monotonic()
             if status == UNSAT:
                 answered = task.refute == by.refute and by.assume <= task.assume
             else:
                 answered = (task.assume <= holds and task.refute not in holds
                             and not verify(task, model))
             if answered:
-                queue.pop(0)
-                answer(task, status, model, f"{SETTLED} {by.describe()}",
-                       time.monotonic() - start)
+                return status, model, f"{SETTLED} {by.describe()}", time.monotonic() - start
+        tried[task] = len(stored)
+        return None
+
+    def settle() -> None:
+        """Record, unsolved, the next task of each goal with none in flight
+        while a stored answer settles it."""
+        busy = {goal_of(w.task) for w in pool if w.task is not None}
+        for goal, queue in pending.items():
+            if goal in busy:
+                continue
+            while queue and (found := settled_by(queue[0])):
+                answer(queue.pop(0), *found)
 
     def finish(task: SearchTask, status, model, reason, seconds) -> None:
         if status == FAIL:
@@ -571,7 +602,11 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
             status = UNKNOWN
         answer(task, status, model, reason, seconds)
         if status in (SAT, UNSAT):
-            settle(task, status, model)
+            holds = None if model is None else {
+                name for name in IDENTITY_NAMES if check_identity(model, builtin(name)) is None
+            }
+            answers.setdefault(task.size, []).append((task, status, model, holds))
+        settle()  # the answer, or the goal's next size, may settle tasks
 
     try:
         dispatch()

@@ -571,16 +571,38 @@ def test_an_idle_worker_outlives_no_later_busy_worker(monkeypatch):
             worker.stop()
 
 
-def test_answers_settle_the_tasks_they_answer(tmp_path, monkeypatch):
-    # grid-ld's shape for D3: every subset of the other five with LD, n = 2..4
+def grid_ld_shape(tmp_path, monkeypatch):
+    """grid-ld's shape for D3, every subset of the other five with LD at
+    n = 2..4 on two workers, with an encode log.  Returns the config, the
+    tasks, the outcome, the encodings and the coordinator's events in
+    order: ("submit", task) per task handed to a worker and ("record",
+    result) per result written."""
     log = tmp_path / "encoded"
     log_encodes(monkeypatch, log)
+    events = []
+    submit, persist = resbinar.orchestrator._Worker.submit, resbinar.orchestrator.persist_result
+
+    def submitted(self, task):
+        events.append(("submit", task))
+        submit(self, task)
+
+    def persisted(result, directory):
+        events.append(("record", result))
+        persist(result, directory)
+
+    monkeypatch.setattr(resbinar.orchestrator._Worker, "submit", submitted)
+    monkeypatch.setattr(resbinar.orchestrator, "persist_result", persisted)
     others = [d for d in DISTRIBUTIVITY_NAMES if d != "D3"]
     subsets = tuple(frozenset(c) for r in range(len(others) + 1)
                     for c in itertools.combinations(others, r))
     config, tasks, outcome = grid_to_completion(
         tmp_path / "out", subsets=subsets, max_size=4, workers=2, solver="builtin"
     )
+    return config, tasks, outcome, encoded(log), events
+
+
+def test_answers_settle_the_tasks_they_answer(tmp_path, monkeypatch):
+    config, tasks, outcome, encodings, _ = grid_ld_shape(tmp_path, monkeypatch)
     assert outcome.ok, outcome.errors
     assert len(outcome.results) == len(tasks) == 96
     for result in outcome.results:
@@ -599,18 +621,124 @@ def test_answers_settle_the_tasks_they_answer(tmp_path, monkeypatch):
             assert verify(result.task, result.model) == []
         else:
             assert by.task.refute == "D3" and by.task.assume <= result.task.assume
-    assert sorted(task for _, task in encoded(log)) == sorted(solved)
-    assert len(solved) <= 16
+    assert sorted(task for _, task in encodings) == sorted(solved)
+    # {LD} and the predicted proof {D4, D5, LD} answer n = 2 and 3 for
+    # every goal; at n = 4 the proof answers every predicted goal
+    solved_at = {size: [r for r in solved.values() if r.task.size == size]
+                 for size in (2, 3, 4)}
+    assert len(solved_at[2]) <= 2 and len(solved_at[3]) <= 2
+    assert [r.task.assume for r in solved_at[4] if r.status == "UNSAT"] == [
+        frozenset({"D4", "D5", "LD"})
+    ]
     path = tmp_path / "out" / "results.jsonl"
     written = path.read_bytes()
     assert run_grid(tasks, config).ok
     assert path.read_bytes() == written
 
 
+def test_a_predicted_proof_starts_before_the_models_of_its_size(tmp_path, monkeypatch):
+    # no model can settle it, so it waits for none
+    config, tasks, outcome, _, events = grid_ld_shape(tmp_path, monkeypatch)
+    assert outcome.ok, outcome.errors
+    proof = SearchTask(4, frozenset({"D4", "D5", "LD"}), "D3")
+    first_model = next(i for i, (kind, item) in enumerate(events) if kind == "record"
+                       and item.task.size == 4 and item.status == "SAT")
+    assert events.index(("submit", proof)) < first_model
+
+
+def await_record(results, size, assume, seconds=30):
+    """Return once results holds a record of the task with this size and
+    these sorted assumptions, or after `seconds`."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if results.exists() and any(
+            (record["task"]["size"], record["task"]["assume"]) == (size, assume)
+            for record in map(json.loads, results.read_text().splitlines())
+        ):
+            return
+        time.sleep(0.01)
+
+
+def test_a_goal_reaching_a_size_later_is_settled_by_its_answer(tmp_path, monkeypatch):
+    # the predicted proof {D4, D5} starts beside {D4}, and at n = 2 it
+    # answers only once {D4}'s answer at n = 3 is on record: {D4, D5}
+    # reaches n = 3 after that answer, which settles it
+    def after_d4_at_3(task):
+        if (task.size, subset_of(task)) == (2, "D4,D5"):
+            await_record(tmp_path / "out" / "results.jsonl", 3, ["D4", "LD"])
+
+    log = tmp_path / "encoded"
+    log_encodes(monkeypatch, log, after_d4_at_3)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", subsets=(frozenset({"D4"}), frozenset({"D4", "D5"})),
+        max_size=3, workers=2, solver="builtin",
+    )
+    assert outcome.ok, outcome.errors
+    d4_at_3 = SearchTask(3, frozenset({"D4", "LD"}), "D3")
+    late = SearchTask(3, frozenset({"D4", "D5", "LD"}), "D3")
+    assert [(r.task, r.status, r.reason) for r in outcome.results] == [
+        (SearchTask(2, frozenset({"D4", "LD"}), "D3"), "UNSAT", None),
+        (d4_at_3, "UNSAT", None),
+        (SearchTask(2, frozenset({"D4", "D5", "LD"}), "D3"), "UNSAT", None),
+        (late, "UNSAT", f"settled by {d4_at_3.describe()}"),
+    ]
+    assert late.describe() not in [task for _, task in encoded(log)]
+    assert len(encoded(log)) == 3
+
+
+def test_a_goal_waits_for_no_subset_at_a_larger_size(tmp_path, monkeypatch):
+    # {} fails at n = 2, so {D4} at n = 2 runs beside {} at n = 3, which
+    # answers only once {D4}'s answer at n = 2 is on record; that answer
+    # then settles {D4} at n = 3
+    def misbehave(task):
+        if subset_of(task) == "":
+            if task.size == 2:
+                raise RuntimeError("encoder broke")
+            await_record(tmp_path / "out" / "results.jsonl", 2, ["D4", "LD"], seconds=5)
+
+    log_encodes(monkeypatch, tmp_path / "encoded", misbehave)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", subsets=(frozenset(), frozenset({"D4"})),
+        max_size=3, workers=2, solver="builtin",
+    )
+    empty_at_3 = SearchTask(3, frozenset({"LD"}), "D3")
+    assert [(r.task, r.status, r.reason) for r in outcome.results] == [
+        (SearchTask(2, frozenset({"LD"}), "D3"), "UNKNOWN", "RuntimeError: encoder broke"),
+        (SearchTask(2, frozenset({"D4", "LD"}), "D3"), "UNSAT", None),
+        (empty_at_3, "UNSAT", None),
+        (SearchTask(3, frozenset({"D4", "LD"}), "D3"), "UNSAT",
+         f"settled by {empty_at_3.describe()}"),
+    ]
+
+
+def test_supersets_wait_behind_a_goal_that_times_out(tmp_path, monkeypatch):
+    # {} hangs on one worker, and the other stays idle: {D4} and {D5}
+    # wait for {}'s answer, whose timeout settles nothing
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    pid_file = tmp_path / "sleep.pid"
+    try:
+        outcome, results, pids = grid_with_a_bad_task(
+            tmp_path, monkeypatch, hang_on("", pid_file), timeout=1.0, workers=2,
+            subsets=(frozenset(), frozenset({"D4"}), frozenset({"D5"})),
+        )
+        assert subset_of(outcome.results[0].task) == ""
+        assert results[""].reason == "timeout after 1.0s"
+        for subset in ("D4", "D5"):
+            assert (results[subset].status, results[subset].reason) == ("UNSAT", None)
+        assert set(pids) == {"", "D4", "D5"}
+        assert gone(read_pid(pid_file)) and gone(pids[""])
+        assert multiprocessing.active_children() == []
+        assert list(scratch.glob("resbinar-*")) == []
+    finally:
+        kill_leftovers(pid_file)
+
+
 @pytest.mark.parametrize("failure", ["raised", "timed-out"])
 def test_a_failed_task_settles_nothing(tmp_path, monkeypatch, failure):
-    # {} goes first, having fewer assumptions; had it answered UNSAT, that
-    # would have settled {D4}
+    # {D4} waits for {}, which has fewer assumptions; had {} answered
+    # UNSAT, that would have settled {D4}
     pid_file = tmp_path / "sleep.pid"
     if failure == "raised":
         misbehave, overrides = fail_on(""), {}
@@ -618,12 +746,13 @@ def test_a_failed_task_settles_nothing(tmp_path, monkeypatch, failure):
         misbehave, overrides = hang_on("", pid_file), {"timeout": 1.0}
     try:
         outcome, results, pids = grid_with_a_bad_task(
-            tmp_path, monkeypatch, misbehave,
+            tmp_path, monkeypatch, misbehave, workers=2,
             subsets=(frozenset({"D4"}), frozenset()), **overrides,
         )
+        assert [subset_of(r.task) for r in outcome.results] == ["", "D4"]
         assert results[""].status == "UNKNOWN"
         assert (results["D4"].status, results["D4"].reason) == ("UNSAT", None)
-        assert set(pids) == {"", "D4"}
+        assert set(pids) == {"", "D4"} and pids["D4"] != pids[""]
     finally:
         kill_leftovers(pid_file)
 
