@@ -218,10 +218,6 @@ class CnfInstance:
             start = end
         return out
 
-    @property
-    def clauses(self) -> list[tuple[int, ...]]:
-        return list(self.iter_clauses())
-
     def _extend(self, clauses: list[tuple[int, ...]], normal: bool = True) -> None:
         """Append clauses in bulk, unchecked when the caller vouches that
         they are normal (literals in range, none repeated or complemented);
@@ -594,14 +590,9 @@ def encode_search(task: SearchTask, opts: EncodeOptions = EncodeOptions()) -> Cn
     return _Encoder(task, opts).build()
 
 
-def _truth(assignment, var: int) -> bool:
-    if isinstance(assignment, Mapping):
-        return bool(assignment.get(var, False))
-    return bool(assignment[var - 1])
-
-
-def decode_model(assignment, varmap: VarMap, n: int) -> FiniteBinar:
-    """Read the unique true value of each cell into operation tables."""
+def decode_model(assignment: Sequence[bool], varmap: VarMap, n: int) -> FiniteBinar:
+    """Read the unique true value of each cell into operation tables;
+    assignment[var - 1] is the value of variable var."""
     tables = {}
     for op in OPS:
         rows = []
@@ -609,7 +600,7 @@ def decode_model(assignment, varmap: VarMap, n: int) -> FiniteBinar:
             out = []
             for col in range(n):
                 values = [v for v in range(n)
-                          if _truth(assignment, varmap.var(op, row, col, v))]
+                          if assignment[varmap.var(op, row, col, v) - 1]]
                 if len(values) != 1:
                     raise IllFormedAssignment((op, row, col))
                 out.append(values[0])

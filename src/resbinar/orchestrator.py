@@ -14,13 +14,18 @@ UNSAT for (A, t, n) answers (A', t, n) for every A' containing A, since
 more assumptions admit no more models, and a verified model answers every
 task whose assumptions hold in it and whose target fails in it, after the
 coordinator verifies it for that task too.  Every answer a worker gives
-is kept for the rest of the grid, and a goal's next task is checked
-against those of its size whenever the goal has no task in flight, so an
-answer also settles goals that reach its size later, and each goal's
-records still ascend in size.  So that the answer can come first, a task
-is not started while a task of the same target with fewer assumptions
-and no larger size is in flight, unless RULES predict it UNSAT and not
-the other: no model settles a predicted proof.
+is kept for the rest of the grid; replayed answers, settled answers,
+failures and timeouts settle nothing.  One scheduling pass runs before
+the first task and after each wakeup's answers and timeouts.  For each
+goal with no task in flight, it records the goal's next tasks, unsolved,
+while a kept answer of their size settles them, so an answer also
+settles goals that reach its size later, and each goal's records still
+ascend in size.  It then hands the goal's next task to a free worker,
+unless a task of the same target with fewer assumptions and no larger
+size is in flight and may answer it first; RULES exempt a predicted
+UNSAT from waiting for a task they do not predict, as no model settles
+a proof.  A SAT answers its goal, and the goal's larger sizes are
+recorded as cancelled.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
 leads its own process group.  This is the package's one time limit: a
@@ -57,11 +62,10 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, check_identity, verify
-from .encoder import EncodeOptions, SearchTask, decode_model, encode_search
+from .encoder import ENCODING_CEILING, EncodeOptions, SearchTask, decode_model, encode_search
 from .solver import DEFAULT_SOLVER, SAT, UNKNOWN, UNSAT, solve
 from .terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
 
-SIZE_CEILING = 14
 # seconds: a worker's deadline is waited on in whole milliseconds, at most 2**31 - 1
 TIMEOUT_CEILING = 2_147_483
 # fork, whatever the interpreter's default: the coordinator must be the
@@ -157,10 +161,9 @@ class GridConfig:
                     raise ConfigError(f"assumption must be a distributivity name: {name!r}")
         if self.ld not in ("assume", "omit", "both"):
             raise ConfigError(f"ld mode must be assume, omit or both: {self.ld!r}")
-        if not 1 <= self.min_size <= self.max_size <= SIZE_CEILING:
-            raise ConfigError(
-                f"need 1 <= min <= max <= {SIZE_CEILING}, got [{self.min_size},{self.max_size}]"
-            )
+        if not 1 <= self.min_size <= self.max_size <= ENCODING_CEILING:
+            raise ConfigError(f"need 1 <= min <= max <= {ENCODING_CEILING},"
+                              f" got [{self.min_size},{self.max_size}]")
         if self.workers < 1:
             raise ConfigError("worker count must be at least 1")
         check_timeout(self.timeout)
@@ -460,15 +463,8 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     """Dispatch tasks to worker processes; single-writer, resumable.
 
     Goals are dispatched with the fewest assumptions first, ties in the
-    order given, so that goals tend to reach each size together; a goal
-    whose next task a task in flight may answer waits for that answer
-    (see the module docstring).  Each SAT or UNSAT a worker answers is
-    kept, and settles the next task of any goal with no task in flight
-    that it answers at its size, now or when the goal reaches that size:
-    the task is recorded with that status, the model for a SAT, reason
-    "settled by" the answered task, and the seconds of the one check that
-    settled it, and is not solved.  Answers replayed from the file,
-    settled answers, failures and timeouts settle nothing.
+    order given, so that goals tend to reach each size together; settling,
+    waiting and cancelling follow the module docstring.
 
     A rerun into the same directory replays the recorded SAT and UNSAT
     answers, settled ones included, and the cancellations behind a
@@ -493,15 +489,19 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         queue.sort(key=lambda task: task.size)
     pending = dict(sorted(pending.items(), key=lambda item: len(item[0][1])))
 
-    def record(result: SearchResult) -> None:
-        persist_result(result, config.out_dir)
-        outcome.results.append(result)
-
-    def cancel(task: SearchTask, sat_size: int) -> None:
-        record(SearchResult(
-            task=task, status=UNKNOWN, model=None, seconds=0.0,
-            solver=config.solver, reason=f"{_CANCELLED} {sat_size}",
-        ))
+    def answer(task: SearchTask, status, model, reason, seconds) -> None:
+        """Record a result; a SAT answers its goal and cancels the goal's
+        larger sizes, in a loop: an answer that called itself would be a
+        reference cycle holding every result until the collector ran."""
+        results = [SearchResult(task, status, model, seconds, config.solver, reason)]
+        if status == SAT:
+            queue = pending[goal_of(task)]
+            results += [SearchResult(rest, UNKNOWN, None, 0.0, config.solver,
+                                     f"{_CANCELLED} {task.size}") for rest in queue]
+            queue.clear()
+        for result in results:
+            persist_result(result, config.out_dir)
+            outcome.results.append(result)
 
     for queue in pending.values():
         fresh: list[SearchTask] = []
@@ -516,7 +516,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 if prior.status == SAT and sat_size is None:
                     sat_size = task.size
             elif sat_size is not None:
-                cancel(task, sat_size)
+                answer(task, UNKNOWN, None, f"{_CANCELLED} {sat_size}", 0.0)
             else:
                 fresh.append(task)
         queue[:] = fresh
@@ -526,46 +526,6 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     # each SAT and UNSAT a worker answered in this call
     answers: dict[int, list[tuple]] = {}
     tried: dict[SearchTask, int] = {}  # answers of its size a task was checked against
-
-    def held(task: SearchTask, flying: list[SearchTask]) -> bool:
-        """Whether task waits for a task in flight whose goal may answer
-        it first: same target, fewer assumptions, no larger size; a
-        predicted proof waits only for another, as no model settles it."""
-        return any(
-            f.refute == task.refute and f.assume < task.assume and f.size <= task.size
-            and (expects_unsat(f) or not expects_unsat(task))
-            for f in flying
-        )
-
-    def dispatch() -> None:
-        flying = [w.task for w in pool if w.task is not None]
-        busy = {goal_of(task) for task in flying}
-        for goal, queue in pending.items():
-            if len(busy) >= config.workers:
-                return
-            if queue and goal not in busy and not held(queue[0], flying):
-                worker = next((w for w in pool if w.task is None), None)
-                if worker is None:
-                    worker = _Worker(config.solver)
-                    pool.append(worker)
-                worker.submit(queue.pop(0))
-                flying.append(worker.task)
-                busy.add(goal)
-
-    def retire(worker: _Worker) -> None:
-        worker.stop()
-        pool.remove(worker)
-
-    def answer(task: SearchTask, status, model, reason, seconds) -> None:
-        record(SearchResult(
-            task=task, status=status, model=model, seconds=seconds,
-            solver=config.solver, reason=reason,
-        ))
-        if status == SAT:  # the goal is answered: cancel its larger sizes
-            queue = pending[goal_of(task)]
-            for rest in queue:
-                cancel(rest, task.size)
-            queue.clear()
 
     def settled_by(task: SearchTask) -> tuple | None:
         """(status, model, reason, seconds) of the first stored answer of
@@ -584,15 +544,30 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         tried[task] = len(stored)
         return None
 
-    def settle() -> None:
-        """Record, unsolved, the next task of each goal with none in flight
-        while a stored answer settles it."""
-        busy = {goal_of(w.task) for w in pool if w.task is not None}
+    def schedule() -> None:
+        """One pass over the goals with no task in flight: record a goal's
+        next tasks while a stored answer settles them, then hand its next
+        task to a worker unless every worker is busy or a task in flight
+        may answer it first."""
+        flying = [w.task for w in pool if w.task is not None]
+        busy = {goal_of(task) for task in flying}
         for goal, queue in pending.items():
             if goal in busy:
                 continue
             while queue and (found := settled_by(queue[0])):
                 answer(queue.pop(0), *found)
+            if not queue or len(flying) >= config.workers:
+                continue
+            task = queue[0]
+            if any(f.refute == task.refute and f.assume < task.assume and f.size <= task.size
+                   and (expects_unsat(f) or not expects_unsat(task)) for f in flying):
+                continue
+            worker = next((w for w in pool if w.task is None), None)
+            if worker is None:
+                worker = _Worker(config.solver)
+                pool.append(worker)
+            worker.submit(queue.pop(0))
+            flying.append(worker.task)
 
     def finish(task: SearchTask, status, model, reason, seconds) -> None:
         if status == FAIL:
@@ -606,10 +581,9 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 name for name in IDENTITY_NAMES if check_identity(model, builtin(name)) is None
             }
             answers.setdefault(task.size, []).append((task, status, model, holds))
-        settle()  # the answer, or the goal's next size, may settle tasks
 
     try:
-        dispatch()
+        schedule()
         while in_flight := {w.conn: w for w in pool if w.task is not None}:
             wait = None
             if config.timeout is not None:
@@ -621,17 +595,18 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 worker.task = None
                 seconds = (payload or {}).get("seconds", time.monotonic() - worker.started)
                 if payload is None or payload["status"] == ERROR:
-                    retire(worker)  # dead, or its process may be what failed
+                    worker.stop()  # dead, or its process may be what failed
+                    pool.remove(worker)
                 finish(task, *_verdict(task, payload), seconds)
             if config.timeout is not None:
                 now = time.monotonic()
                 for worker in in_flight.values():
                     if now >= worker.started + config.timeout:
-                        task = worker.task
-                        retire(worker)
-                        finish(task, UNKNOWN, None,
+                        worker.stop()
+                        pool.remove(worker)
+                        finish(worker.task, UNKNOWN, None,
                                f"timeout after {config.timeout}s", now - worker.started)
-            dispatch()
+            schedule()
     finally:
         for worker in pool:
             worker.stop()

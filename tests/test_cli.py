@@ -138,6 +138,18 @@ def test_search_reports_a_solver_that_cannot_start(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("spec, flags, code, err", [
+    ("builtin", [], 10, ""),
+    ("/no/such", [], 1, "ERROR: SolverSpawnError: cannot run '/no/such'"),
+    ("/no/such", ["--solver", "builtin"], 10, ""),
+])
+def test_rb_solver_names_the_default_solver(monkeypatch, capsys, spec, flags, code, err):
+    # --solver, when given, wins over RB_SOLVER
+    monkeypatch.setenv("RB_SOLVER", spec)
+    assert main(["search", "--size", "2", *flags]) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
 @pytest.mark.parametrize("command", [
     ["search", "--size", "2"],
     ["grid", "--targets", "D3", "--min-size", "2", "--max-size", "2"],

@@ -52,7 +52,7 @@ def test_varmap_leq_is_meet_cell():
 def test_cnf_instance_clause_handling():
     cnf = CnfInstance(3)
     assert cnf.add_clause([1, 2, 2])
-    assert cnf.clauses == [(1, 2)]
+    assert list(cnf.iter_clauses()) == [(1, 2)]
     # tautology dropped, not stored
     assert not cnf.add_clause([1, -1, 3])
     assert cnf.clause_count == 1
@@ -64,12 +64,12 @@ def test_cnf_instance_clause_handling():
         cnf.add_clause([0])
     assert cnf.new_var() == 4
     assert cnf.add_clause([4])
-    assert cnf.clauses == [(1, 2), (4,)]
+    assert list(cnf.iter_clauses()) == [(1, 2), (4,)]
 
 
 def test_from_clauses():
     cnf = CnfInstance.from_clauses(2, [(1, 2), (-1,)])
-    assert cnf.clauses == [(1, 2), (-1,)]
+    assert list(cnf.iter_clauses()) == [(1, 2), (-1,)]
     assert cnf.num_vars == 2
     # duplicate literals go, tautologies are dropped, a 1-literal clause stays
     cnf = CnfInstance.from_clauses(4, [(1, 2, 1), (3, -3), (-4,), (2, -1, 4, 2), (1, -1, 2)])
@@ -89,7 +89,7 @@ def test_dimacs_file_matches_bytes(tmp_path):
     lines = [f"c map {op} {row} {col} {value} {var}"
              for (op, row, col, value), var in cnf.varmap.base_items()]
     lines.append(f"p cnf {cnf.num_vars} {cnf.clause_count}")
-    lines.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
+    lines.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.iter_clauses())
     assert dimacs_bytes(cnf, tmp_path) == ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -187,14 +187,6 @@ def test_decode_model_rejects_ill_formed():
     cnf = encode_search(SearchTask(2))
     with pytest.raises(IllFormedAssignment):
         decode_model([False] * cnf.num_vars, cnf.varmap, 2)
-
-
-def test_decode_model_accepts_mapping():
-    cnf = encode_search(SearchTask(2))
-    res = solve_builtin(cnf)
-    pairs = {v + 1: res.assignment[v] for v in range(cnf.num_vars)}
-    model = decode_model(pairs, cnf.varmap, 2)
-    assert model == decode_model(res.assignment, cnf.varmap, 2)
 
 
 def test_encoding_is_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -13,10 +14,11 @@ import pytest
 
 import resbinar.orchestrator
 from resbinar.algebra import check_identity, check_lattice, check_residuation, verify
-from resbinar.encoder import SearchTask
+from resbinar.encoder import ENCODING_CEILING, SearchTask
 from resbinar.orchestrator import (
     ConfigError,
     GridConfig,
+    GridOutcome,
     SearchResult,
     build_grid,
     expects_unsat,
@@ -76,6 +78,10 @@ def test_grid_config_validation():
         GridConfig(min_size=4, max_size=2)
     with pytest.raises(ConfigError):
         GridConfig(max_size=99)
+    # one ceiling for a grid and a single search: the encoder's
+    GridConfig(max_size=ENCODING_CEILING)
+    with pytest.raises(ConfigError):
+        GridConfig(max_size=ENCODING_CEILING + 1)
     with pytest.raises(ConfigError):
         GridConfig(workers=0)
     for timeout in (0, -1, float("nan"), float("inf"), 3e6):
@@ -232,6 +238,30 @@ def test_run_grid_finds_countermodel_and_cancels_rest(tmp_path):
         assert by_size[size].status in ("UNKNOWN", "SAT")
         if by_size[size].status == "UNKNOWN":
             assert "cancelled" in by_size[size].reason
+
+
+def test_a_grid_leaves_no_reference_cycle_holding_its_results(tmp_path):
+    # a helper of run_grid that called itself would be a cycle through its
+    # closure, keeping every result alive until the collector ran, and every
+    # worker forked before then would inherit them
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        _, _, outcome = grid_to_completion(tmp_path)
+        assert any("cancelled" in (r.reason or "") for r in outcome.results)
+        del outcome
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (SearchResult, GridOutcome))]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+        gc.collect()
+    assert leaked == []
 
 
 def test_run_grid_resumes_without_resolving(tmp_path):
