@@ -213,6 +213,8 @@ def _cmd_grid(args) -> int:
           f"{len(settled)} settled by other answers, "
           f"{len(outcome.violations)} expectation violations, "
           f"{len(outcome.errors)} errors")
+    print(f"{outcome.subtasks} (task, lattice) subtasks solved, "
+          f"{outcome.stray_s:.3f}s of worker time on no record")
     for violation in outcome.violations:
         print(f"VIOLATION: {violation.task.describe()} is SAT but was expected UNSAT")
     for error in outcome.errors:

@@ -33,6 +33,25 @@ the first time; if it created every non-base auxiliary term it used, it
 becomes the size's template, and every later task replays it under its own
 variable numbers instead of walking the terms again.  The CNF, VarMap.aux,
 the selectors and the symmetries come out as a direct encoding's would.
+
+Lattice mode (EncodeOptions.lattice) encodes a task with the meet and join
+tables fixed to one lattice, folded in as constants while encoding: a
+unit clause fixes every meet and join cell variable, so decode_model and
+verify read the lattice as they read any model; there are no lattice-law
+clauses; a residuation clause whose two order literals are now constants
+is dropped when they agree and loses them when they differ; a meet or join
+of two constants is a constant, and one with a literal-tuple argument
+needs one clause per pair of argument values instead of n.  No carrier
+symmetry is exported, since a relabeling moves the fixed lattice; symmetry
+breaking is off too, as the tables already fix the labels.  A process keeps
+a _Size per (size, lattice) as it does per size.
+
+Splitting a task over lattices loses no model when the lattices are one
+naturally labelled representative of each isomorphism class, as
+oracle.enumerate_lattices(n, up_to_iso=True) gives them: a model's lattice
+is isomorphic to exactly one representative, the isomorphism relabels the
+whole model onto that representative's tables, and a relabeling keeps
+every identity that holds or fails.
 """
 
 from __future__ import annotations
@@ -42,7 +61,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .algebra import FiniteBinar, freeze_table
+from .algebra import FiniteBinar, Table, freeze_table, lattice_tables, order_from_tables
 from .terms import (
     Identity,
     LATTICE_IDENTITIES,
@@ -235,14 +254,26 @@ class CnfInstance:
 
 @dataclass(frozen=True)
 class EncodeOptions:
+    """symmetry: break the carrier symmetry with clauses, or else export
+    its generators; lattice: the (meet, join) tables to fix, or None to
+    search every lattice.  With a lattice, symmetry has no effect."""
+
     symmetry: bool = True
+    lattice: tuple[Table, Table] | None = None
+
+    def __post_init__(self):
+        if self.lattice is not None:
+            object.__setattr__(self, "lattice", tuple(map(freeze_table, self.lattice)))
 
 
 class _Size:
-    """What encode_search keeps per size n for the life of the process.
+    """What encode_search keeps per size n, or per size and fixed lattice,
+    for the life of the process.
 
     - The base: the exactly-one, lattice-law and residuation clauses every
-      task starts with, and their VarMap.aux.  A task copies them.
+      task starts with, and their VarMap.aux; with a fixed lattice, the
+      units that fix meet and join, the exactly-one clauses of the other
+      cells and the folded residuation clauses.  A task copies them.
     - blocks: a _Block template per assumed identity and per refuted one,
       keyed ("assume" or "refute", name), replayed into every later task.
     - lifts: per carrier generator, the head of its lifted permutation:
@@ -256,12 +287,15 @@ class _Size:
     it has seen.
     """
 
-    def __init__(self, n: int):
-        enc = _Encoder(SearchTask(n), EncodeOptions())
-        enc._exactly_one_cells()
-        for ident in LATTICE_IDENTITIES:
-            enc._assert_identity(ident)
-        enc._residuation()
+    def __init__(self, n: int, lattice: tuple[Table, Table] | None = None):
+        enc = _Encoder(SearchTask(n), EncodeOptions(lattice=lattice))
+        if lattice is None:
+            enc._exactly_one_cells()
+            for ident in LATTICE_IDENTITIES:
+                enc._assert_identity(ident)
+            enc._residuation()
+        else:
+            enc._fixed_lattice()
         cnf = enc.cnf
         self.lits, self.ends = cnf._lits, cnf._ends
         self.num_vars, self.clause_count = cnf.num_vars, cnf.clause_count
@@ -270,15 +304,17 @@ class _Size:
         self.lifts: dict[tuple[int, ...], array] = {}
 
 
-_SIZES: dict[int, _Size] = {}
+# keyed by n, and by (n, lattice) for a fixed lattice
+_SIZES: dict[int | tuple, _Size] = {}
 
 
-def _size_cache(n: int) -> _Size:
-    """The per-size cache, its base encoded on first use; callers copy what
-    they take from it, never alias it."""
-    if n not in _SIZES:
-        _SIZES[n] = _Size(n)
-    return _SIZES[n]
+def _size_cache(n: int, lattice: tuple[Table, Table] | None = None) -> _Size:
+    """The per-size (or per size and lattice) cache, its base encoded on
+    first use; callers copy what they take from it, never alias it."""
+    key = n if lattice is None else (n, lattice)
+    if key not in _SIZES:
+        _SIZES[key] = _Size(n, lattice)
+    return _SIZES[key]
 
 
 class _Block:
@@ -352,6 +388,8 @@ class _Encoder:
         self.varmap = VarMap(self.n)
         self.cnf = CnfInstance(num_vars=self.varmap.num_base)
         self.cnf.varmap = self.varmap
+        # the fixed meet and join tables by op; empty when every lattice is searched
+        self.fixed: dict[str, Table] = dict(zip(("meet", "join"), opts.lattice or ()))
         self.selectors: dict[tuple[int, ...], int] = {}  # refuted tuple -> selector
         # the block being encoded: its allocations, and the variables of
         # earlier blocks, a term among which keeps it from being a template
@@ -360,7 +398,7 @@ class _Encoder:
         self._reused = False
 
     def build(self) -> CnfInstance:
-        size = self._size = _size_cache(self.n)
+        size = self._size = _size_cache(self.n, self.opts.lattice)
         cnf = self.cnf
         cnf._lits, cnf._ends = size.lits[:], size.ends[:]
         cnf.num_vars, cnf.clause_count = size.num_vars, size.clause_count
@@ -369,6 +407,8 @@ class _Encoder:
             self._block("assume", name)
         if self.task.refute is not None:
             self._block("refute", self.task.refute)
+        if self.fixed:
+            return cnf
         if self.opts.symmetry:
             cnf._extend(symmetry_clauses(self.n, self.varmap.leq))
         else:
@@ -447,8 +487,11 @@ class _Encoder:
     # -- building blocks
 
     def _exactly_one_cells(self) -> None:
+        """One value per cell of each op that is not fixed."""
         n, vm = self.n, self.varmap
         for op in OPS:
+            if op in self.fixed:
+                continue
             for row in range(n):
                 for col in range(n):
                     first = vm.var(op, row, col, 0)
@@ -466,6 +509,8 @@ class _Encoder:
         left = self._flatten(t.left, env)
         right = self._flatten(t.right, env)
         if isinstance(left, int) and isinstance(right, int):
+            if t.op in self.fixed:
+                return self.fixed[t.op][left][right]
             first = self.varmap.var(t.op, left, right, 0)
             return tuple(range(first, first + self.n))
         key = (t.op, left, right)
@@ -497,6 +542,9 @@ class _Encoder:
         complementary literal needs a target equal to an input, or a tuple
         that is one of the op cells the call reads (as in the lattice laws):
         only such calls go through add_clause."""
+        if op in self.fixed:
+            self._force_fixed(self.fixed[op], left, right, target)
+            return
         n = self.n
         first = self.varmap.var(op, 0, 0, 0)
         same = left == right
@@ -512,6 +560,26 @@ class _Encoder:
         normal = not (isinstance(target, tuple) and target in (left, right)
                       or any(cell in heads for cell, _ in pairs))
         self.cnf._extend(clauses, normal)
+
+    def _force_fixed(self, table: Table, left, right, target) -> None:
+        """_force_into for a fixed op: left=a and right=b imply
+        target=table[a][b], one clause per pair (a, b), none where an int
+        target already equals it.  A pair of constants that contradicts an
+        int target leaves no literal: its clause is the negation of a true
+        unit, which makes the CNF unsatisfiable as it should be."""
+        same = left == right
+        rights = self._choices(right)
+        pairs = [(table[a][b], pa if same and a == b else pa + pb)
+                 for a, pa in self._choices(left) for b, pb in rights]
+        if isinstance(target, int):
+            clauses = [prefix or (-self._true_unit(),) for v, prefix in pairs if v != target]
+        else:
+            clauses = [prefix + (target[v],) for v, prefix in pairs]
+        self.cnf._extend(clauses, not (isinstance(target, tuple) and target in (left, right)))
+
+    def _true_unit(self) -> int:
+        """A cell variable the fixed lattice's units make true."""
+        return self.varmap.var("meet", 0, 0, self.fixed["meet"][0][0])
 
     def _assert_identity(self, ident: Identity) -> None:
         """Force lhs = rhs on every tuple of carrier values."""
@@ -546,8 +614,47 @@ class _Encoder:
                                 clauses += ((ma, rc, -la, lc), (ma, rc, la, -lc))
         self.cnf._extend(clauses)
 
+    def _fixed_lattice(self) -> None:
+        """The base of lattice mode: a unit per meet and join cell
+        variable, true for the table's value, the exactly-one clauses of
+        the mult and residual cells, and residuation under the fixed order:
+        of the two clauses per cell values, both hold where the order's
+        two constants agree, and where they differ both become one binary
+        clause, kept once.  A ValueError for tables that are not those of a
+        lattice on {0..n-1}."""
+        n, vm, lattice = self.n, self.varmap, self.opts.lattice
+        if any(len(table) != n or any(len(row) != n for row in table) for table in lattice):
+            raise ValueError(f"lattice tables are not {n} x {n}")
+        leq = order_from_tables(*lattice)
+        if lattice_tables(leq) != lattice:
+            raise ValueError("meet and join are not the lattice operations of their order")
+        units = []
+        for op, table in self.fixed.items():
+            for row in range(n):
+                for col in range(n):
+                    first = vm.var(op, row, col, 0)
+                    units += [(first + v if v == table[row][col] else -first - v,)
+                              for v in range(n)]
+        self.cnf._extend(units)
+        self._exactly_one_cells()
+        clauses = []
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    for a in range(n):
+                        ma = -vm.var("mult", x, y, a)
+                        la = leq[a][z]
+                        clauses += [(ma, -vm.var("lres", x, z, b))
+                                    for b in range(n) if leq[y][b] != la]
+                        clauses += [(ma, -vm.var("rres", z, y, c))
+                                    for c in range(n) if leq[x][c] != la]
+        self.cnf._extend(clauses)
+
     def _refute(self, ident: Identity) -> None:
-        """Some tuple must witness lhs != rhs: one selector per tuple."""
+        """Some tuple must witness lhs != rhs: one selector per tuple.  In
+        lattice mode both sides of LD are constants: a tuple where they
+        differ needs no clause, one where they agree rules its selector
+        out."""
         names = identity_variables(ident)
         for tup in itertools.product(range(self.n), repeat=len(names)):
             env = dict(zip(names, tup))
@@ -555,7 +662,10 @@ class _Encoder:
             self._allocs.append((tup, None, None))
             lhs = self._flatten(ident.lhs, env)
             rhs = self._flatten(ident.rhs, env)
-            self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)], lhs != rhs)
+            if isinstance(lhs, int):
+                self.cnf._extend([(-w,)] if lhs == rhs else [])
+            else:
+                self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)], lhs != rhs)
         self.cnf._extend([tuple(self.selectors.values())])
 
 

@@ -4,10 +4,13 @@ Lattices are enumerated as the partial orders refined by the numeric order
 0 < 1 < ... < n-1, kept where `algebra.lattice_tables` finds every meet and
 join, and sorted into classes by `algebra.canonical_form`, the first one met
 standing for its class; the labeled catalogue is every relabeling of those
-class representatives.  Residuated binars are enumerated exhaustively, for
-n <= EXHAUSTIVE_BOUND, per lattice by choosing mult tables; residuals are
-derived from mult and the order, never enumerated, so a size-n search
-touches n^(n^2) tables per lattice instead of n^(3n^2).
+class representatives.  Each representative is naturally labelled: x <= y
+only if x <= y as integers, so 0 is its bottom and n-1 its top.  A process
+enumerates the representatives of a size once.  Residuated binars are
+enumerated exhaustively, for n <= EXHAUSTIVE_BOUND, per lattice by choosing
+mult tables; residuals are derived from mult and the order, never
+enumerated, so a size-n search touches n^(n^2) tables per lattice instead
+of n^(3n^2).
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ def _natural_orders(n: int) -> Iterator[tuple[int, ...]]:
     yield from place(n - 1)
 
 
+_representatives: dict[int, tuple[tuple[Table, Table], ...]] = {}
+
+
 def enumerate_lattices(
     n: int, up_to_iso: bool = False
 ) -> tuple[tuple[Table, Table], ...]:
@@ -77,21 +83,30 @@ def enumerate_lattices(
     by default, one per isomorphism class if asked."""
     if not 1 <= n <= LATTICE_BOUND:
         raise BoundExceeded(f"lattice enumeration supports 1 <= n <= {LATTICE_BOUND}")
-    # the leq row of x is the bitmask of its up-set, x included
-    rows = [tuple(bool(mask >> y & 1) for y in range(n)) for mask in range(1 << n)]
-    classes: dict[tuple[Table, ...], tuple[Table, Table]] = {}
-    for ups in _natural_orders(n):
-        tables = lattice_tables(tuple(rows[ups[x] | 1 << x] for x in range(n)))
-        if tables is not None:
-            form, _ = canonical_form({"meet": tables[0], "join": tables[1]})
-            classes.setdefault(form, tables)
+    if n not in _representatives:
+        # the leq row of x is the bitmask of its up-set, x included
+        rows = [tuple(bool(mask >> y & 1) for y in range(n)) for mask in range(1 << n)]
+        classes: dict[tuple[Table, ...], tuple[Table, Table]] = {}
+        for ups in _natural_orders(n):
+            tables = lattice_tables(tuple(rows[ups[x] | 1 << x] for x in range(n)))
+            if tables is not None:
+                form, _ = canonical_form({"meet": tables[0], "join": tables[1]})
+                classes.setdefault(form, tables)
+        _representatives[n] = tuple(sorted(classes.values()))
     if up_to_iso:
-        return tuple(sorted(classes.values()))
+        return _representatives[n]
     return tuple(sorted({
         (relabel(meet, perm), relabel(join, perm))
-        for meet, join in classes.values()
+        for meet, join in _representatives[n]
         for perm in itertools.permutations(range(n))
     }))
+
+
+def is_distributive(meet: Table, join: Table) -> bool:
+    """Whether the lattice satisfies x ^ (y v z) = (x ^ y) v (x ^ z)."""
+    n = len(meet)
+    return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+               for x, y, z in itertools.product(range(n), repeat=3))
 
 
 def _residuable_lines(n: int, leq: Order, join: Table):

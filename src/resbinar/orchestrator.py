@@ -9,39 +9,62 @@ within the range; different goals run concurrently, those with the fewest
 assumptions first.  The coordinator is the single writer of the result
 file and re-verifies every claimed model before recording it.
 
-An answer settles other goals' tasks of its size without a solve: an
-UNSAT for (A, t, n) answers (A', t, n) for every A' containing A, since
+A task is solved as one subtask per lattice (`task_lattices`): for n up to
+`oracle.LATTICE_BOUND`, one per isomorphism class of n-element lattices,
+the distributive ones only when LD is assumed, each encoded with its meet
+and join fixed (`EncodeOptions.lattice`); above that bound, one subtask
+whose lattice is None searches every lattice at once.  A verified model on
+any lattice answers the task; the task is UNSAT once every one of its
+lattices is.  Each record is still one task's, its seconds the worker time
+of the subtasks solved for it plus the checks that settled the rest.
+
+An answer settles subtasks without a solve: an UNSAT for (A, t, n) on
+lattice L answers lattice L of (A', t, n) for every A' containing A, since
 more assumptions admit no more models, and a verified model answers every
 task whose assumptions hold in it and whose target fails in it, after the
 coordinator verifies it for that task too.  Every answer a worker gives
 is kept for the rest of the grid; replayed answers, settled answers,
-failures and timeouts settle nothing.  One scheduling pass runs before
-the first task and after each wakeup's answers and timeouts.  For each
-goal with no task in flight, it records the goal's next tasks, unsolved,
-while a kept answer of their size settles them, so an answer also
-settles goals that reach its size later, and each goal's records still
-ascend in size.  It then hands the goal's next task to a free worker,
-unless a task of the same target with fewer assumptions and no larger
-size is in flight and may answer it first; RULES exempt a predicted
-UNSAT from waiting for a task they do not predict, as no model settles
-a proof.  A SAT answers its goal, and the goal's larger sizes are
-recorded as cancelled.
+failures and timeouts settle nothing.  A record settled on every lattice
+has the reason `settled by <task> on <lattice>`, one such part per lattice;
+an UNSAT that solved some of its lattices and was settled on the rest has
+`solved on <lattices>; settled by ...`.
+
+One scheduling pass runs before the first subtask and after each wakeup's
+answers and timeouts.  It records each goal's next tasks, unsolved, while
+kept answers settle them, so an answer also settles goals that reach its
+size later, and each goal's records still ascend in size.  It then hands
+out the open subtasks of each goal's next task, one per goal per round in
+goal order, while a worker is free.  A subtask (T, L) waits while a
+subtask of the same target with fewer assumptions and no larger size is
+in flight and may answer it first: one on lattice L at T's size, whose
+UNSAT would settle it, or one of a task not yet answered, whose model
+might; RULES exempt a predicted UNSAT from the second wait for a task they
+do not predict, as no model settles a proof.  A SAT answers its goal, and
+the goal's larger sizes are recorded as cancelled.  A subtask still in
+flight when its task is answered runs to its end, or to its task's
+deadline, on the same worker, and its answer is kept to settle other
+tasks; its seconds are on no record.
+Once no task is left to answer, the grid ends and kills what still runs.
 
 Every task, in a grid or alone (`run_task`), runs in a worker process that
 leads its own process group.  This is the package's one time limit: a
-task's deadline is its submission plus the timeout, and at the deadline,
-or when the caller unwinds (an exception, Ctrl-C, or SIGTERM and SIGHUP,
-which `cli.main` turns into `SystemExit`), the whole group is killed, an
-external solver included, whatever the engine and layer.
+task's deadline is the submission of its first subtask plus the timeout,
+shared by all its subtasks, a sibling still running after its task was
+answered included.  At the deadline, or when the caller unwinds (an
+exception, Ctrl-C, or SIGTERM and SIGHUP, which `cli.main` turns into
+`SystemExit`), the whole group of each worker still on the task is killed,
+an external solver included, whatever the engine and layer, and none of its
+subtasks starts any more.  A timed-out or failed subtask leaves its task
+UNKNOWN unless a sibling answers SAT.
 
 A grid keeps at most `workers` worker processes and hands each the next
-task when it answers, so the encoder's per-size caches stay warm from
-task to task.  A worker whose task timed out, that died without an answer
-or that answered ERROR is killed, and a fresh one is forked when a task
-needs it; every worker is killed when the grid ends.  A worker also
-exits when the pipe from its coordinator closes: each worker closes its
-copies of the coordinator's ends of every pipe that was open when it was
-forked, so that no worker keeps another's pipe open.
+subtask when it answers, so the encoder's per-size and per-lattice caches
+stay warm from subtask to subtask.  A worker whose subtask timed out, that
+died without an answer or that answered ERROR is killed, and a fresh one
+is forked when a subtask needs it; every worker is killed when the grid
+ends.  A worker also exits when the pipe from its coordinator closes: each
+worker closes its copies of the coordinator's ends of every pipe that was
+open when it was forked, so that no worker keeps another's pipe open.
 """
 
 from __future__ import annotations
@@ -57,12 +80,23 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from functools import cache
 from multiprocessing.connection import wait as conn_wait
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .algebra import FiniteBinar, binar_from_dict, binar_to_dict, check_identity, verify
+from .algebra import (
+    FiniteBinar,
+    Table,
+    binar_from_dict,
+    binar_to_dict,
+    check_identity,
+    covering_relation,
+    order_from_tables,
+    verify,
+)
 from .encoder import ENCODING_CEILING, EncodeOptions, SearchTask, decode_model, encode_search
+from .oracle import LATTICE_BOUND, enumerate_lattices, is_distributive
 from .solver import DEFAULT_SOLVER, SAT, UNKNOWN, UNSAT, solve
 from .terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
 
@@ -87,6 +121,10 @@ RULES: tuple[tuple[frozenset[str], str], ...] = (
     (frozenset({"D5", "D1"}), "D2"),
     (frozenset({"D6", "D2"}), "D1"),
 )
+
+
+# the fixed (meet, join) tables of a subtask, or None for every lattice
+Lattice = tuple[Table, Table] | None
 
 
 class ConfigError(ValueError):
@@ -128,6 +166,37 @@ def expects_unsat(task: SearchTask) -> bool:
     """Whether RULES rule out every model: LD is assumed and the target
     follows from the other assumptions."""
     return "LD" in task.assume and task.refute in implication_closure(task.assume - {"LD"})
+
+
+@cache
+def task_lattices(size: int, ld: bool) -> tuple[Lattice, ...]:
+    """The lattices of a task's subtasks, given its size and whether it
+    assumes LD: up to LATTICE_BOUND, the representatives of
+    oracle.enumerate_lattices, only the distributive ones under LD, the
+    chain first (on a chain every D_i and LD hold, so its subtask is the
+    UNSAT that most goals share, and they should wait for it rather than
+    prove it again); above, None alone."""
+    if size > LATTICE_BOUND:
+        return (None,)
+    lattices = [lattice for lattice in enumerate_lattices(size, up_to_iso=True)
+                if not ld or is_distributive(*lattice)]
+    # the chain is the lattice whose meet is one of its arguments throughout
+    return tuple(sorted(lattices, key=lambda lattice: any(
+        lattice[0][x][y] not in (x, y) for x in range(size) for y in range(size))))
+
+
+@cache
+def lattice_name(lattice: tuple[Table, Table]) -> str:
+    """The lattice as its covering pairs: "lattice 0<1 0<2 1<3 2<3"."""
+    edges = covering_relation(order_from_tables(*lattice))
+    return "lattice " + " ".join(f"{x}<{y}" for x, y in edges)
+
+
+def describe(task: SearchTask, lattice: Lattice) -> str:
+    """A subtask as task.describe(), and its lattice if it has one."""
+    if lattice is None:
+        return task.describe()
+    return f"{task.describe()} on {lattice_name(lattice)}"
 
 
 @dataclass(frozen=True)
@@ -232,8 +301,15 @@ class SearchResult:
 
 @dataclass
 class GridOutcome:
+    """The results recorded, one per task, and the failures met.  subtasks
+    counts the (task, lattice) subtasks a worker answered SAT or UNSAT;
+    stray_s is the worker time of those whose task was answered before
+    they ended, which no record carries."""
+
     results: list[SearchResult] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
+    subtasks: int = 0
+    stray_s: float = 0.0
 
     @property
     def violations(self) -> list[SearchResult]:
@@ -328,9 +404,9 @@ _COORDINATOR_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _serve(solver_spec: str, scratch: str, conn) -> None:
-    """Worker body: answer each task received on `conn` (encode, solve,
-    decode) until the coordinator's end closes; the size caches of
-    encode_search stay warm from task to task."""
+    """Worker body: answer each (task, lattice) received on `conn` (encode,
+    solve, decode) until the coordinator's end closes; the caches of
+    encode_search stay warm from subtask to subtask."""
     os.setpgid(0, 0)
     # else this process would hold its own pipe, or an earlier worker's,
     # open and never let it see EOF
@@ -340,12 +416,12 @@ def _serve(solver_spec: str, scratch: str, conn) -> None:
     tempfile.tempdir = scratch
     while True:
         try:
-            task = conn.recv()
+            task, lattice = conn.recv()
         except (EOFError, OSError):  # the coordinator is gone
             return
         start = time.monotonic()
         try:
-            cnf = encode_search(task, EncodeOptions(symmetry=True))
+            cnf = encode_search(task, EncodeOptions(symmetry=True, lattice=lattice))
             result = solve(cnf, solver_spec)
             payload = {
                 "status": result.status,
@@ -373,13 +449,15 @@ class WorkerStartError(OSError):
 
 
 class _Worker:
-    """A process that answers one task at a time, for as many tasks as it
-    is given, and leads a process group of its own so that stop() kills
-    every process a solve started.  task is the one it is answering, None
-    while it waits; started is when that task was submitted."""
+    """A process that answers one subtask at a time, for as many as it is
+    given, and leads a process group of its own so that stop() kills
+    every process a solve started.  task and lattice are the subtask it is
+    answering, task None while it waits; started is when that subtask was
+    submitted."""
 
     def __init__(self, solver_spec: str):
         self.task: SearchTask | None = None
+        self.lattice: Lattice = None
         self.started = 0.0
         scratch, ends = None, []
         try:
@@ -402,10 +480,10 @@ class _Worker:
         except OSError:  # the worker has already exited
             pass
 
-    def submit(self, task: SearchTask) -> None:
-        self.task, self.started = task, time.monotonic()
+    def submit(self, task: SearchTask, lattice: Lattice = None) -> None:
+        self.task, self.lattice, self.started = task, lattice, time.monotonic()
         try:
-            self.conn.send(task)
+            self.conn.send((task, lattice))
         except OSError:  # the worker has died: receive() reports it
             pass
 
@@ -457,6 +535,24 @@ def run_task(task: SearchTask, solver_spec: str,
     finally:
         worker.stop()
     return _verdict(task, payload)
+
+
+@dataclass(eq=False)
+class _Answering:
+    """A goal's next task, from the first scheduling pass that reaches it
+    until it is recorded: its lattices neither answered nor handed out,
+    its subtasks in flight, and what the answered ones left."""
+
+    task: SearchTask
+    open: list[Lattice]
+    flying: int = 0
+    seconds: float = 0.0  # its solved subtasks' worker time and its settling checks'
+    settled: list[str] = field(default_factory=list)  # the subtask that settled each lattice
+    solved: list[str] = field(default_factory=list)  # the lattices it was UNSAT on itself
+    failure: str | None = None  # the first failed subtask's reason
+    reason: str | None = None  # the first UNSAT subtask's reason, if it gave one
+    models_tried: int = 0  # kept models of its size it was checked against
+    unsats_tried: dict[Lattice, int] = field(default_factory=dict)  # likewise, per lattice
 
 
 def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
@@ -522,89 +618,178 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         queue[:] = fresh
 
     pool: list[_Worker] = []  # at most config.workers, busy or waiting
-    # per size, (task, status, model, identities holding in the model) of
-    # each SAT and UNSAT a worker answered in this call
-    answers: dict[int, list[tuple]] = {}
-    tried: dict[SearchTask, int] = {}  # answers of its size a task was checked against
+    # the answers workers gave in this call: per (size, lattice), each task
+    # with an UNSAT subtask on it; per size, (task, lattice, model,
+    # identities holding in the model) of each SAT
+    unsats: dict[tuple[int, Lattice], list[SearchTask]] = {}
+    models: dict[int, list[tuple]] = {}
+    answering: dict[SearchTask, _Answering] = {}  # goals' next tasks, once started
+    deadlines: dict[SearchTask, float] = {}  # per task, once a subtask of it is handed out
 
-    def settled_by(task: SearchTask) -> tuple | None:
-        """(status, model, reason, seconds) of the first stored answer of
-        task's size that settles it, None if none does; each answer is
-        checked against a task once, and seconds is that one check's."""
-        stored = answers.get(task.size, [])
-        for by, status, model, holds in stored[tried.get(task, 0):]:
+    def settle(state: _Answering) -> tuple | None:
+        """(status, model, reason) once state's task is answered, None
+        while it is not.  Each kept answer is checked against the task
+        once: a model answers the whole task, an UNSAT the task's subtask
+        on its lattice.  The time of each check that settles something is
+        added to state.seconds."""
+        task = state.task
+        stored = models.get(task.size, [])
+        for by, lattice, model, holds in stored[state.models_tried:]:
             start = time.monotonic()
-            if status == UNSAT:
-                answered = task.refute == by.refute and by.assume <= task.assume
+            if task.assume <= holds and task.refute not in holds and not verify(task, model):
+                state.seconds += time.monotonic() - start
+                return SAT, model, f"{SETTLED} {describe(by, lattice)}"
+        state.models_tried = len(stored)
+        for lattice in tuple(state.open):
+            stored = unsats.get((task.size, lattice), [])
+            for by in stored[state.unsats_tried.get(lattice, 0):]:
+                start = time.monotonic()
+                if by.refute == task.refute and by.assume <= task.assume:
+                    state.seconds += time.monotonic() - start
+                    state.open.remove(lattice)
+                    state.settled.append(describe(by, lattice))
+                    break
             else:
-                answered = (task.assume <= holds and task.refute not in holds
-                            and not verify(task, model))
-            if answered:
-                return status, model, f"{SETTLED} {by.describe()}", time.monotonic() - start
-        tried[task] = len(stored)
-        return None
+                state.unsats_tried[lattice] = len(stored)
+        if task in deadlines and time.monotonic() >= deadlines[task]:
+            # its subtasks in flight are killed at the same deadline
+            state.open.clear()
+            state.failure = state.failure or f"timeout after {config.timeout}s"
+        if state.open or state.flying:
+            return None
+        if state.failure is not None:
+            return UNKNOWN, None, state.failure
+        if not state.settled:
+            return UNSAT, None, state.reason
+        reason = f"{SETTLED} " + "; ".join(state.settled)
+        if state.solved:
+            reason = f"solved on {', '.join(state.solved)}; {reason}"
+        return UNSAT, None, reason
+
+    def conclude(state: _Answering, found: tuple) -> None:
+        """Record the answer `found` of state's task, its goal's next one."""
+        del answering[state.task]
+        answer(pending[goal_of(state.task)].pop(0), *found, state.seconds)
+
+    def waits(task: SearchTask, lattice: Lattice, flying: list[tuple]) -> bool:
+        """Whether a subtask in flight may answer (task, lattice) first, by
+        the rule of the module docstring."""
+        for other, other_lattice in flying:
+            if (other.refute != task.refute or not other.assume < task.assume
+                    or other.size > task.size):
+                continue
+            if lattice is not None and (other.size, other_lattice) == (task.size, lattice):
+                return True
+            if other in answering and (expects_unsat(other) or not expects_unsat(task)):
+                return True
+        return False
 
     def schedule() -> None:
-        """One pass over the goals with no task in flight: record a goal's
-        next tasks while a stored answer settles them, then hand its next
-        task to a worker unless every worker is busy or a task in flight
-        may answer it first."""
-        flying = [w.task for w in pool if w.task is not None]
-        busy = {goal_of(task) for task in flying}
-        for goal, queue in pending.items():
-            if goal in busy:
-                continue
-            while queue and (found := settled_by(queue[0])):
-                answer(queue.pop(0), *found)
-            if not queue or len(flying) >= config.workers:
-                continue
-            task = queue[0]
-            if any(f.refute == task.refute and f.assume < task.assume and f.size <= task.size
-                   and (expects_unsat(f) or not expects_unsat(task)) for f in flying):
-                continue
-            worker = next((w for w in pool if w.task is None), None)
-            if worker is None:
-                worker = _Worker(config.solver)
-                pool.append(worker)
-            worker.submit(queue.pop(0))
-            flying.append(worker.task)
+        """One pass: record each goal's next tasks while they are answered,
+        then hand out open subtasks, one per goal per round, to free
+        workers, skipping those that wait."""
+        heads: list[_Answering] = []
+        for queue in pending.values():
+            while queue:
+                state = answering.get(queue[0])
+                if state is None:
+                    task = queue[0]
+                    state = answering[task] = _Answering(
+                        task, list(task_lattices(task.size, "LD" in task.assume)))
+                found = settle(state)
+                if found is None:
+                    heads.append(state)
+                    break
+                conclude(state, found)
+        flying = [(w.task, w.lattice) for w in pool if w.task is not None]
+        handed = True
+        while handed and len(flying) < config.workers:
+            handed = False
+            for state in heads:
+                if len(flying) >= config.workers:
+                    break
+                for lattice in state.open:
+                    if not waits(state.task, lattice, flying):
+                        break
+                else:
+                    continue
+                state.open.remove(lattice)
+                state.flying += 1
+                worker = next((w for w in pool if w.task is None), None)
+                if worker is None:
+                    worker = _Worker(config.solver)
+                    pool.append(worker)
+                worker.submit(state.task, lattice)
+                if config.timeout is not None:
+                    deadlines.setdefault(state.task, worker.started + config.timeout)
+                flying.append((state.task, lattice))
+                handed = True
 
-    def finish(task: SearchTask, status, model, reason, seconds) -> None:
+    def finish(task: SearchTask, lattice: Lattice, status, model, reason, seconds) -> None:
+        """Keep a worker's answer to (task, lattice) and give it to the
+        task, recording the task if that answers it; a task answered
+        before leaves the subtask's seconds stray."""
         if status == FAIL:
             reason = "model failed verification: " + reason.replace("\n", "; ")
         if status in (ERROR, FAIL):
-            outcome.errors.append(f"{task.describe()}: {reason}")
+            outcome.errors.append(f"{describe(task, lattice)}: {reason}")
             status = UNKNOWN
-        answer(task, status, model, reason, seconds)
-        if status in (SAT, UNSAT):
-            holds = None if model is None else {
-                name for name in IDENTITY_NAMES if check_identity(model, builtin(name)) is None
-            }
-            answers.setdefault(task.size, []).append((task, status, model, holds))
+        if status == UNSAT:
+            unsats.setdefault((task.size, lattice), []).append(task)
+        elif status == SAT:
+            holds = {name for name in IDENTITY_NAMES
+                     if check_identity(model, builtin(name)) is None}
+            models.setdefault(task.size, []).append((task, lattice, model, holds))
+        if status != UNKNOWN:
+            outcome.subtasks += 1
+        state = answering.get(task)
+        if state is None:
+            outcome.stray_s += seconds
+            return
+        state.flying -= 1
+        state.seconds += seconds
+        if status == SAT:
+            conclude(state, (SAT, model, reason))
+            return
+        if status == UNKNOWN:
+            state.failure = state.failure or reason
+        else:
+            state.reason = state.reason or reason
+            if lattice is not None:
+                state.solved.append(lattice_name(lattice))
+        found = settle(state)
+        if found is not None:
+            conclude(state, found)
 
     try:
         schedule()
         while in_flight := {w.conn: w for w in pool if w.task is not None}:
+            if not any(pending.values()):
+                # no task is left to answer: what still runs settles nothing
+                now = time.monotonic()
+                outcome.stray_s += sum(now - w.started for w in in_flight.values())
+                break
             wait = None
             if config.timeout is not None:
-                first = min(w.started for w in in_flight.values())
-                wait = max(0.0, first + config.timeout - time.monotonic())
+                due = min([deadlines[w.task] for w in in_flight.values()]
+                          + [deadlines[task] for task in answering if task in deadlines])
+                wait = max(0.0, due - time.monotonic())
             for conn in conn_wait(list(in_flight), timeout=wait):
                 worker = in_flight.pop(conn)
-                task, payload = worker.task, worker.receive()
+                task, lattice, payload = worker.task, worker.lattice, worker.receive()
                 worker.task = None
                 seconds = (payload or {}).get("seconds", time.monotonic() - worker.started)
                 if payload is None or payload["status"] == ERROR:
                     worker.stop()  # dead, or its process may be what failed
                     pool.remove(worker)
-                finish(task, *_verdict(task, payload), seconds)
+                finish(task, lattice, *_verdict(task, payload), seconds)
             if config.timeout is not None:
                 now = time.monotonic()
                 for worker in in_flight.values():
-                    if now >= worker.started + config.timeout:
+                    if now >= deadlines[worker.task]:
                         worker.stop()
                         pool.remove(worker)
-                        finish(worker.task, UNKNOWN, None,
+                        finish(worker.task, worker.lattice, UNKNOWN, None,
                                f"timeout after {config.timeout}s", now - worker.started)
             schedule()
     finally:

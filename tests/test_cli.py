@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -325,6 +326,9 @@ def test_grid_counts_results_settled_by_other_answers(tmp_path, capsys):
     assert code == 0
     assert "settled by n=2 assume=D1,D2,D4,D5,D6 refute=D3" in out
     assert "2 results, 0 SAT, 1 settled by other answers, 0 expectation violations" in out
+    # one subtask on the 2-chain, the only 2-element lattice, answers both
+    assert re.search(r"^1 \(task, lattice\) subtasks solved, "
+                     r"0\.000s of worker time on no record$", out, re.M)
 
 
 def test_grid_reports_an_out_path_it_cannot_write(tmp_path, capsys, monkeypatch):

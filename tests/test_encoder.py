@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 import resbinar.encoder
-from resbinar.algebra import check_lattice, check_residuation, check_identity
+from resbinar.algebra import check_lattice, check_residuation, check_identity, verify
 from resbinar.encoder import (
     CnfInstance,
     EncodeOptions,
@@ -22,8 +22,12 @@ from resbinar.encoder import (
     symmetry_clauses,
     write_dimacs_file,
 )
-from resbinar.solver import SAT, UNSAT, solve_builtin
+from resbinar.oracle import EXHAUSTIVE_BOUND, enumerate_lattices, enumerate_residuated_binars
+from resbinar.orchestrator import RULES
+from resbinar.solver import SAT, UNKNOWN, UNSAT, solve_builtin
 from resbinar.terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
+
+from conftest import M3_LEQ, N5_LEQ, chain_tables, lattice_tables_from_leq
 
 
 def dimacs_bytes(cnf, directory, name="out.cnf"):
@@ -437,3 +441,108 @@ def test_exported_symmetries_map_the_clauses_onto_themselves():
             images = Counter(tuple(sorted(perm[l] if l > 0 else -perm[-l] for l in clause))
                              for clause in clauses)
             assert images == counts, task.describe()
+
+
+def referee_tasks(n):
+    """The base task, D1..D6 and LD each assumed alone and refuted alone,
+    and at n = 4 the six RULES proofs."""
+    yield SearchTask(n)
+    for name in IDENTITY_NAMES:
+        yield SearchTask.make(n, assume=(name,))
+        yield SearchTask.make(n, refute=name)
+    if n == 4:
+        for premises, conclusion in RULES:
+            yield SearchTask.make(n, assume=(*premises, "LD"), refute=conclusion)
+
+
+def referee_lattices():
+    """(n, (meet, join)): every representative at n = 2..4, M3 and N5."""
+    for n in (2, 3, 4):
+        for lattice in enumerate_lattices(n, up_to_iso=True):
+            yield n, lattice
+    for leq in (M3_LEQ, N5_LEQ):
+        yield 5, tuple(tuple(map(tuple, table)) for table in lattice_tables_from_leq(leq))
+
+
+def pinned_to(task, lattice):
+    """The task's encoding over every lattice, with symmetry breaking,
+    which a naturally labelled lattice satisfies, and a unit clause per
+    meet and join cell variable pinning the tables to the lattice."""
+    cnf = encode_search(task)
+    for op, table in zip(("meet", "join"), lattice):
+        for (cell_op, row, col, value), var in cnf.varmap.base_items():
+            if cell_op == op:
+                cnf.add_clause((var if table[row][col] == value else -var,))
+    return cnf
+
+
+def test_lattice_mode_agrees_with_the_pinned_encoding():
+    """The referee of lattice mode: on each lattice, folding the lattice
+    in while encoding gives the verdict that pinning it after encoding
+    gives, and each model found has exactly that lattice and answers the
+    task."""
+    for n, lattice in referee_lattices():
+        for task in referee_tasks(n):
+            label = f"{task.describe()} on {lattice[0]}"
+            statuses = []
+            for cnf in (encode_search(task, EncodeOptions(lattice=lattice)),
+                        pinned_to(task, lattice)):
+                assert cnf.symmetries == (), label
+                result = solve_builtin(cnf)
+                statuses.append(result.status)
+                if result.status == SAT:
+                    model = decode_model(result.assignment, cnf.varmap, n)
+                    assert (model.meet, model.join) == lattice, label
+                    assert verify(task, model) == [], label
+            assert statuses[0] == statuses[1] and UNKNOWN not in statuses, label
+
+
+def test_lattice_mode_replays_blocks_like_cold_ones(tmp_path, monkeypatch):
+    """Per (size, lattice) templates: each referee task at n = 4 encodes
+    the same cold, and after every block it holds was recorded by other
+    tasks, in forward and in reverse order."""
+    cases = [(task, lattice) for n, lattice in referee_lattices() if n == 4
+             for task in referee_tasks(n)]
+
+    def fingerprint(task, lattice):
+        enc = resbinar.encoder._Encoder(task, EncodeOptions(lattice=lattice))
+        cnf = enc.build()
+        return dimacs_bytes(cnf, tmp_path), list(cnf.varmap.aux.items()), list(enc.selectors.items())
+
+    cold = []
+    for task, lattice in cases:
+        monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+        cold.append(fingerprint(task, lattice))
+    for order in (range(len(cases)), reversed(range(len(cases)))):
+        monkeypatch.setattr(resbinar.encoder, "_SIZES", {})
+        for i in order:
+            assert fingerprint(*cases[i]) == cold[i], cases[i][0].describe()
+
+
+def test_lattice_mode_rejects_tables_that_are_no_lattice():
+    meet, join = chain_tables(3)
+    bad_join = [row[:] for row in join]
+    bad_join[1][2] = bad_join[2][1] = 1  # 1 v 2 = 1 although 1 <= 2
+    for lattice in ((meet, bad_join), ([row[:2] for row in meet[:2]], join)):
+        with pytest.raises(ValueError):
+            encode_search(SearchTask(3), EncodeOptions(lattice=lattice))
+
+
+def test_lattice_mode_models_are_the_oracles():
+    """Every model, not only the first: up to the exhaustive bound, the
+    models of the base task on each representative, enumerated by
+    blocking each mult table found, are the oracle's residuated binars
+    with that lattice.  A dropped folded clause that admits a model shows
+    here even when the solver's first model never uses it."""
+    for n in range(1, EXHAUSTIVE_BOUND + 1):
+        for lattice in enumerate_lattices(n, up_to_iso=True):
+            cnf = encode_search(SearchTask(n), EncodeOptions(lattice=lattice))
+            found = set()
+            while (result := solve_builtin(cnf)).status == SAT:
+                model = decode_model(result.assignment, cnf.varmap, n)
+                found.add(model)
+                cnf.add_clause([-cnf.varmap.var("mult", x, y, model.mult[x][y])
+                                for x in range(n) for y in range(n)])
+            assert result.status == UNSAT
+            assert found == {b for b in enumerate_residuated_binars(n)
+                             if (b.meet, b.join) == lattice}, n

@@ -19,6 +19,7 @@ from resbinar.oracle import (
     enumerate_lattices,
     enumerate_residuated_binars,
     identity_profile,
+    is_distributive,
     oracle_search,
 )
 from resbinar.terms import IDENTITY_NAMES, LATTICE_IDENTITIES, builtin
@@ -41,6 +42,30 @@ def test_labeled_lattice_counts():
 def test_lattice_counts_up_to_iso():
     for n, want in ISO_LATTICE_COUNTS.items():
         assert len(enumerate_lattices(n, up_to_iso=True)) == want
+
+
+def test_representatives_are_naturally_labelled():
+    # what splitting a task over lattices rests on: a model relabels onto
+    # a representative whose 0 is bottom and n-1 top, so the encoder's
+    # symmetry breaking and a fixed representative agree
+    for n in range(1, LATTICE_BOUND + 1):
+        for meet, join in enumerate_lattices(n, up_to_iso=True):
+            leq = [[meet[x][y] == x for y in range(n)] for x in range(n)]
+            assert all(leq[0][y] and leq[y][n - 1] for y in range(n))
+            assert all(x <= y for x in range(n) for y in range(n) if leq[x][y])
+
+
+def test_distributive_representatives_follow_oeis_a006982():
+    assert [sum(is_distributive(*lattice) for lattice in enumerate_lattices(n, up_to_iso=True))
+            for n in range(1, LATTICE_BOUND + 1)] == [1, 1, 1, 2, 3, 5]
+    m3 = lattice_tables_from_leq(M3_LEQ)
+    n5 = lattice_tables_from_leq(N5_LEQ)
+    assert not is_distributive(*m3) and not is_distributive(*n5)
+
+
+def test_representatives_are_enumerated_once_per_size():
+    first = enumerate_lattices(5, up_to_iso=True)
+    assert enumerate_lattices(5, up_to_iso=True) is first
 
 
 def test_lattice_bound():

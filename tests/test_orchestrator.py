@@ -24,6 +24,7 @@ from resbinar.orchestrator import (
     expects_unsat,
     goal_of,
     implication_closure,
+    lattice_name,
     load_results,
     persist_result,
     run_grid,
@@ -468,49 +469,58 @@ def subset_of(task) -> str:
     return ",".join(sorted(task.assume - {"LD"}))
 
 
-def log_encodes(monkeypatch, log, misbehave=lambda task: None) -> None:
-    """Make each worker forked from now on append "<pid> <task>" to log for
-    every task it encodes, and call misbehave(task) before the encoding."""
+def log_encodes(monkeypatch, log, misbehave=lambda task, lattice: None) -> None:
+    """Make each worker forked from now on append "<pid>\t<task>\t<lattice>"
+    to log for every subtask it encodes, and call misbehave(task, lattice)
+    before the encoding."""
     encode = resbinar.orchestrator.encode_search
 
     def logged(task, options):
+        lattice = "-" if options.lattice is None else lattice_name(options.lattice)
         with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{os.getpid()} {task.describe()}\n")
-        misbehave(task)
+            handle.write(f"{os.getpid()}\t{task.describe()}\t{lattice}\n")
+        misbehave(task, options.lattice)
         return encode(task, options)
 
     monkeypatch.setattr(resbinar.orchestrator, "encode_search", logged)
 
 
-def encoded(log) -> list[tuple[int, str]]:
-    """(pid, task.describe()) of each encoding log_encodes logged."""
-    return [(int(pid), task) for pid, _, task in
-            (line.partition(" ") for line in log.read_text().splitlines())]
+def encoded(log) -> list[tuple[int, str, str]]:
+    """(pid, task.describe(), lattice name) of each encoding log_encodes
+    logged; the lattice name is "-" for a subtask over every lattice."""
+    return [(int(pid), task, lattice) for pid, task, lattice in
+            (line.split("\t") for line in log.read_text().splitlines())]
+
+
+CHAIN = {n: f"lattice {' '.join(f'{x}<{x + 1}' for x in range(n - 1))}" for n in (2, 3, 4)}
+SQUARE = "lattice 0<1 0<2 1<3 2<3"
 
 
 def grid_with_a_bad_task(tmp_path, monkeypatch, misbehave,
                          subsets=(frozenset({"D4"}), frozenset({"D5"})), **overrides):
-    """D3 with LD at n = 2 over two subsets, by default {D4} and {D5}: as
-    neither holds the other, both tasks run whatever the other answers.
-    Each task's encoding is preceded by misbehave(task) in its worker.
-    Returns the outcome, and each task's result and the pid of the worker
-    that encoded it, both keyed by subset_of the task ("D4", "D5")."""
+    """D3 with LD at n = 2 (or as overridden) over two subsets, by default
+    {D4} and {D5}: as neither holds the other, both tasks run whatever the
+    other answers.  Each subtask's encoding is preceded by
+    misbehave(task, lattice) in its worker.  Returns the outcome, and each
+    task's result and the pid of a worker that encoded it, both keyed by
+    subset_of the task ("D4", "D5")."""
     log = tmp_path / "encoded"
     log_encodes(monkeypatch, log, misbehave)
     config, tasks, outcome = grid_to_completion(
-        tmp_path / "out", subsets=subsets, max_size=2, solver="builtin", **overrides,
+        tmp_path / "out", subsets=subsets, **{"max_size": 2, "solver": "builtin", **overrides},
     )
     results = {subset_of(r.task): r for r in outcome.results}
     by_task = {task.describe(): subset_of(task) for task in tasks}
-    pids = {by_task[task]: pid for pid, task in encoded(log)}
+    pids = {by_task[task]: pid for pid, task, _ in encoded(log)}
     return outcome, results, pids
 
 
-def hang_on(subset, pid_file):
+def hang_on(subset, pid_file, lattice=None):
     """misbehave for grid_with_a_bad_task: the task over `subset` starts
-    `sleep 30`, writes its pid to pid_file and never returns."""
-    def hang(task):
-        if subset_of(task) == subset:
+    `sleep 30`, writes its pid to pid_file and never returns; with
+    `lattice`, only its subtask on the lattice of that name does."""
+    def hang(task, fixed):
+        if subset_of(task) == subset and lattice in (None, lattice_name(fixed)):
             sleeper = subprocess.Popen(["sleep", "30"])
             pid_file.with_suffix(".tmp").write_text(str(sleeper.pid))
             pid_file.with_suffix(".tmp").replace(pid_file)
@@ -520,7 +530,7 @@ def hang_on(subset, pid_file):
 
 def fail_on(subset):
     """misbehave for grid_with_a_bad_task: the task over `subset` raises."""
-    def fail(task):
+    def fail(task, lattice):
         if subset_of(task) == subset:
             raise RuntimeError("encoder broke")
     return fail
@@ -544,7 +554,8 @@ def test_a_worker_whose_task_raised_is_not_reused(tmp_path, monkeypatch):
     outcome, results, pids = grid_with_a_bad_task(tmp_path, monkeypatch, fail_on("D4"))
     assert results["D4"].status == "UNKNOWN"
     assert results["D4"].reason == "RuntimeError: encoder broke"
-    assert outcome.errors == [f"{results['D4'].task.describe()}: RuntimeError: encoder broke"]
+    assert outcome.errors == [
+        f"{results['D4'].task.describe()} on lattice 0<1: RuntimeError: encoder broke"]
     assert results["D5"].status == "UNSAT"
     assert pids["D5"] != pids["D4"]
 
@@ -605,22 +616,31 @@ def grid_ld_shape(tmp_path, monkeypatch):
     """grid-ld's shape for D3, every subset of the other five with LD at
     n = 2..4 on two workers, with an encode log.  Returns the config, the
     tasks, the outcome, the encodings and the coordinator's events in
-    order: ("submit", task) per task handed to a worker and ("record",
-    result) per result written."""
+    order: ("submit", task, lattice name) per subtask handed to a worker,
+    ("answer", task, lattice name, status) per subtask a worker answered
+    and ("record", result) per result written."""
     log = tmp_path / "encoded"
     log_encodes(monkeypatch, log)
     events = []
     submit, persist = resbinar.orchestrator._Worker.submit, resbinar.orchestrator.persist_result
+    receive = resbinar.orchestrator._Worker.receive
 
-    def submitted(self, task):
-        events.append(("submit", task))
-        submit(self, task)
+    def submitted(self, task, lattice=None):
+        events.append(("submit", task, lattice_name(lattice)))
+        submit(self, task, lattice)
+
+    def received(self):
+        payload = receive(self)
+        events.append(("answer", self.task, lattice_name(self.lattice),
+                       (payload or {}).get("status")))
+        return payload
 
     def persisted(result, directory):
         events.append(("record", result))
         persist(result, directory)
 
     monkeypatch.setattr(resbinar.orchestrator._Worker, "submit", submitted)
+    monkeypatch.setattr(resbinar.orchestrator._Worker, "receive", received)
     monkeypatch.setattr(resbinar.orchestrator, "persist_result", persisted)
     others = [d for d in DISTRIBUTIVITY_NAMES if d != "D3"]
     subsets = tuple(frozenset(c) for r in range(len(others) + 1)
@@ -631,35 +651,69 @@ def grid_ld_shape(tmp_path, monkeypatch):
     return config, tasks, outcome, encoded(log), events
 
 
+def settlers(result) -> list[tuple[str, str]]:
+    """(task.describe(), lattice name) of each subtask a record's reason
+    names as settling it."""
+    _, by, settled = (result.reason or "").partition("settled by ")
+    if not by:
+        return []
+    return [tuple(part.split(" on ")) for part in settled.split("; ")]
+
+
+def solved_on(result) -> set[str]:
+    """The lattice names a record's reason names as solved for it, which
+    it does only beside those that settled it."""
+    reason = result.reason or ""
+    if not reason.startswith("solved on "):
+        return set()
+    return set(reason.removeprefix("solved on ").split("; settled by ")[0].split(", "))
+
+
 def test_answers_settle_the_tasks_they_answer(tmp_path, monkeypatch):
-    config, tasks, outcome, encodings, _ = grid_ld_shape(tmp_path, monkeypatch)
+    config, tasks, outcome, encodings, events = grid_ld_shape(tmp_path, monkeypatch)
     assert outcome.ok, outcome.errors
     assert len(outcome.results) == len(tasks) == 96
     for result in outcome.results:
         implied = "D3" in implication_closure(result.task.assume - {"LD"})
         expected = "UNSAT" if result.task.size <= 3 or implied else "SAT"
         assert result.status == expected, result.task.describe()
-    solved = {r.task.describe(): r for r in outcome.results
-              if not (r.reason or "").startswith("settled by ")}
-    settled = [r for r in outcome.results if r.task.describe() not in solved]
-    for result in settled:
-        by = solved[result.reason.removeprefix("settled by ")]
-        assert outcome.results.index(by) < outcome.results.index(result)
-        assert (by.status, by.task.size) == (result.status, result.task.size)
-        if result.status == "SAT":
-            assert result.model == by.model
-            assert verify(result.task, result.model) == []
-        else:
-            assert by.task.refute == "D3" and by.task.assume <= result.task.assume
-    assert sorted(task for _, task in encodings) == sorted(solved)
-    # {LD} and the predicted proof {D4, D5, LD} answer n = 2 and 3 for
-    # every goal; at n = 4 the proof answers every predicted goal
-    solved_at = {size: [r for r in solved.values() if r.task.size == size]
-                 for size in (2, 3, 4)}
-    assert len(solved_at[2]) <= 2 and len(solved_at[3]) <= 2
-    assert [r.task.assume for r in solved_at[4] if r.status == "UNSAT"] == [
-        frozenset({"D4", "D5", "LD"})
-    ]
+    # each (task, lattice) subtask is solved at most once, and the outcome
+    # counts those answered, not one killed when the grid ends
+    solved = [(task, lattice) for _, task, lattice in encodings]
+    answered = [(e[1].describe(), e[2]) for e in events
+                if e[0] == "answer" and e[3] in ("SAT", "UNSAT")]
+    assert len(set(solved)) == len(solved)
+    assert set(answered) <= set(solved) and len(answered) == outcome.subtasks
+    records = {r.task.describe(): r for r in outcome.results}
+    for result in outcome.results:
+        for by, lattice in settlers(result):
+            assert (by, lattice) in solved, result.reason
+            by = records[by]
+            assert by.task.size == result.task.size
+            if result.status == "SAT":
+                assert outcome.results.index(by) < outcome.results.index(result)
+                assert by.status == "SAT" and result.model == by.model
+                assert verify(result.task, result.model) == []
+            else:
+                assert by.task.refute == "D3" and by.task.assume <= result.task.assume
+        # a lattice of an UNSAT is settled or solved, never both, and a
+        # reason names the solved ones only beside settled ones
+        if result.status == "UNSAT":
+            own = {lattice for task, lattice in solved if task == result.task.describe()}
+            assert not own & {lattice for _, lattice in settlers(result)}
+            assert solved_on(result) == (own if settlers(result) else set())
+    # {LD} answers n = 2 and 3 on the chain, the only lattice there, for
+    # every goal; at n = 4 its chain proof settles every other goal's
+    # chain, and the predicted proof's square settles the squares of the
+    # other predicted goals, while models settle most of the rest
+    ld = SearchTask(4, frozenset({"LD"}), "D3")
+    proof = SearchTask(4, frozenset({"D4", "D5", "LD"}), "D3")
+    for n in (2, 3):
+        assert [s for s in solved if s[0].startswith(f"n={n} ")] == [
+            (SearchTask(n, frozenset({"LD"}), "D3").describe(), CHAIN[n])]
+    assert [task for task, lattice in solved if lattice == CHAIN[4]] == [ld.describe()]
+    squares = [records[task].task for task, lattice in solved if lattice == SQUARE]
+    assert [task for task in squares if expects_unsat(task)] == [proof]
     path = tmp_path / "out" / "results.jsonl"
     written = path.read_bytes()
     assert run_grid(tasks, config).ok
@@ -667,13 +721,15 @@ def test_answers_settle_the_tasks_they_answer(tmp_path, monkeypatch):
 
 
 def test_a_predicted_proof_starts_before_the_models_of_its_size(tmp_path, monkeypatch):
-    # no model can settle it, so it waits for none
+    # no model can settle it, so its square waits for none, while its
+    # chain waits for the chain of {LD}, whose UNSAT settles it
     config, tasks, outcome, _, events = grid_ld_shape(tmp_path, monkeypatch)
     assert outcome.ok, outcome.errors
     proof = SearchTask(4, frozenset({"D4", "D5", "LD"}), "D3")
-    first_model = next(i for i, (kind, item) in enumerate(events) if kind == "record"
-                       and item.task.size == 4 and item.status == "SAT")
-    assert events.index(("submit", proof)) < first_model
+    assert [event[2] for event in events if event[:2] == ("submit", proof)] == [SQUARE]
+    first_model = next(i for i, event in enumerate(events) if event[0] == "record"
+                       and event[1].task.size == 4 and event[1].status == "SAT")
+    assert events.index(("submit", proof, SQUARE)) < first_model
 
 
 def await_record(results, size, assume, seconds=30):
@@ -690,10 +746,15 @@ def await_record(results, size, assume, seconds=30):
 
 
 def test_a_goal_reaching_a_size_later_is_settled_by_its_answer(tmp_path, monkeypatch):
-    # the predicted proof {D4, D5} starts beside {D4}, and at n = 2 it
+    # {D4} at n = 2 is on record from an earlier run: replayed, it settles
+    # nothing, so {D4, D5} at n = 2 starts beside {D4} at n = 3, and it
     # answers only once {D4}'s answer at n = 3 is on record: {D4, D5}
     # reaches n = 3 after that answer, which settles it
-    def after_d4_at_3(task):
+    d4_at_2 = SearchTask(2, frozenset({"D4", "LD"}), "D3")
+    grid_to_completion(tmp_path / "out", subsets=(frozenset({"D4"}),), max_size=2,
+                       solver="builtin")
+
+    def after_d4_at_3(task, lattice):
         if (task.size, subset_of(task)) == (2, "D4,D5"):
             await_record(tmp_path / "out" / "results.jsonl", 3, ["D4", "LD"])
 
@@ -707,20 +768,20 @@ def test_a_goal_reaching_a_size_later_is_settled_by_its_answer(tmp_path, monkeyp
     d4_at_3 = SearchTask(3, frozenset({"D4", "LD"}), "D3")
     late = SearchTask(3, frozenset({"D4", "D5", "LD"}), "D3")
     assert [(r.task, r.status, r.reason) for r in outcome.results] == [
-        (SearchTask(2, frozenset({"D4", "LD"}), "D3"), "UNSAT", None),
+        (d4_at_2, "UNSAT", None),
         (d4_at_3, "UNSAT", None),
         (SearchTask(2, frozenset({"D4", "D5", "LD"}), "D3"), "UNSAT", None),
-        (late, "UNSAT", f"settled by {d4_at_3.describe()}"),
+        (late, "UNSAT", f"settled by {d4_at_3.describe()} on {CHAIN[3]}"),
     ]
-    assert late.describe() not in [task for _, task in encoded(log)]
-    assert len(encoded(log)) == 3
+    assert late.describe() not in [task for _, task, _ in encoded(log)]
+    assert len(encoded(log)) == 2
 
 
 def test_a_goal_waits_for_no_subset_at_a_larger_size(tmp_path, monkeypatch):
     # {} fails at n = 2, so {D4} at n = 2 runs beside {} at n = 3, which
     # answers only once {D4}'s answer at n = 2 is on record; that answer
     # then settles {D4} at n = 3
-    def misbehave(task):
+    def misbehave(task, lattice):
         if subset_of(task) == "":
             if task.size == 2:
                 raise RuntimeError("encoder broke")
@@ -737,8 +798,130 @@ def test_a_goal_waits_for_no_subset_at_a_larger_size(tmp_path, monkeypatch):
         (SearchTask(2, frozenset({"D4", "LD"}), "D3"), "UNSAT", None),
         (empty_at_3, "UNSAT", None),
         (SearchTask(3, frozenset({"D4", "LD"}), "D3"), "UNSAT",
-         f"settled by {empty_at_3.describe()}"),
+         f"settled by {empty_at_3.describe()} on {CHAIN[3]}"),
     ]
+
+
+def test_an_unsat_settles_its_lattice_of_supersets_and_no_other(tmp_path, monkeypatch):
+    # the proof {D4, D5} fails on the square, so only its chain UNSAT is
+    # kept: that settles the chain of {D1, D4, D5}, whose square is solved,
+    # and its reason names both
+    proof = SearchTask(4, frozenset({"D4", "D5", "LD"}), "D3")
+    wider = SearchTask(4, frozenset({"D1", "D4", "D5", "LD"}), "D3")
+
+    def fail_on_square(task, lattice):
+        if task == proof and lattice_name(lattice) == SQUARE:
+            raise RuntimeError("encoder broke")
+
+    log = tmp_path / "encoded"
+    log_encodes(monkeypatch, log, fail_on_square)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", subsets=(frozenset({"D4", "D5"}), frozenset({"D1", "D4", "D5"})),
+        min_size=4, max_size=4, solver="builtin",
+    )
+    assert [(r.task, r.status, r.reason) for r in outcome.results] == [
+        (proof, "UNKNOWN", "RuntimeError: encoder broke"),
+        (wider, "UNSAT", f"solved on {SQUARE}; settled by {proof.describe()} on {CHAIN[4]}"),
+    ]
+    assert outcome.errors == [f"{proof.describe()} on {SQUARE}: RuntimeError: encoder broke"]
+    assert [(task, lattice) for _, task, lattice in encoded(log)] == [
+        (proof.describe(), CHAIN[4]), (proof.describe(), SQUARE), (wider.describe(), SQUARE)]
+    # the square that raised is no subtask solved
+    assert outcome.subtasks == 2
+
+
+def test_a_sibling_answering_after_its_task_still_settles(tmp_path, monkeypatch):
+    # {LD}'s chain answers only once {LD} is on record, SAT from its
+    # square: its worker is not killed, and its UNSAT settles the chain of
+    # the proof {D4, D5}, whose square is solved beside it
+    started = counted_forks(monkeypatch)
+    ld = SearchTask(4, frozenset({"LD"}), "D3")
+    proof = SearchTask(4, frozenset({"D4", "D5", "LD"}), "D3")
+
+    def chain_after_ld(task, lattice):
+        if task == ld and lattice_name(lattice) == CHAIN[4]:
+            await_record(tmp_path / "out" / "results.jsonl", 4, ["LD"])
+
+    log = tmp_path / "encoded"
+    log_encodes(monkeypatch, log, chain_after_ld)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path / "out", subsets=(frozenset(), frozenset({"D4", "D5"})),
+        min_size=4, max_size=4, workers=2, solver="builtin",
+    )
+    assert outcome.ok, outcome.errors
+    assert [(r.task, r.status, r.reason) for r in outcome.results] == [
+        (ld, "SAT", None),
+        (proof, "UNSAT", f"solved on {SQUARE}; settled by {ld.describe()} on {CHAIN[4]}"),
+    ]
+    encodings = encoded(log)
+    assert sorted((task, lattice) for _, task, lattice in encodings) == sorted([
+        (ld.describe(), CHAIN[4]), (ld.describe(), SQUARE), (proof.describe(), SQUARE)])
+    chain_pid = next(pid for pid, task, lattice in encodings if lattice == CHAIN[4])
+    assert len(started) == 2 and chain_pid in {proc.pid for proc in started}
+    # the chain's seconds are on no record; the proof's are its square's
+    # and the check that settled its chain
+    assert outcome.stray_s > 0 and outcome.subtasks == 3
+
+
+@pytest.mark.parametrize("hung", ["chain", "square"])
+def test_a_timed_out_subtask_leaves_its_task_unknown_unless_a_sibling_answers(
+        tmp_path, monkeypatch, hung):
+    # {LD} at n = 4 has no model on the chain and one on the square
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    pid_file = tmp_path / "sleep.pid"
+    lattice, timeout = {"chain": (CHAIN[4], 10.0), "square": (SQUARE, 2.0)}[hung]
+    hang = hang_on("", pid_file, lattice)
+
+    def misbehave(task, fixed):
+        if hung == "chain" and lattice_name(fixed) == SQUARE:
+            read_pid(pid_file)  # the square answers once the chain hangs
+        hang(task, fixed)
+
+    try:
+        start = time.monotonic()
+        outcome, results, pids = grid_with_a_bad_task(
+            tmp_path, monkeypatch, misbehave, subsets=(frozenset(),),
+            min_size=4, max_size=4, workers=2, timeout=timeout,
+        )
+        elapsed = time.monotonic() - start
+        if hung == "chain":
+            # the square's model answers the task, and with no task left
+            # the grid kills the chain before its deadline
+            assert (results[""].status, results[""].reason) == ("SAT", None)
+            assert elapsed < timeout and outcome.stray_s > 0
+        else:
+            assert (results[""].status, results[""].reason) == ("UNKNOWN", "timeout after 2.0s")
+        assert gone(read_pid(pid_file))
+        assert multiprocessing.active_children() == []
+        assert list(scratch.glob("resbinar-*")) == []
+    finally:
+        kill_leftovers(pid_file)
+
+
+def test_the_subtasks_of_a_task_share_its_deadline(tmp_path, monkeypatch):
+    # one worker: {LD}'s chain hangs until the task's deadline, and its
+    # square, which would find a model, never starts after it
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    pid_file = tmp_path / "sleep.pid"
+    try:
+        start = time.monotonic()
+        outcome, results, pids = grid_with_a_bad_task(
+            tmp_path, monkeypatch, hang_on("", pid_file, CHAIN[4]), subsets=(frozenset(),),
+            min_size=4, max_size=4, timeout=1.0,
+        )
+        elapsed = time.monotonic() - start
+        assert (results[""].status, results[""].reason) == ("UNKNOWN", "timeout after 1.0s")
+        assert [lattice for _, _, lattice in encoded(tmp_path / "encoded")] == [CHAIN[4]]
+        assert outcome.subtasks == 0 and elapsed < 2.0
+        assert gone(read_pid(pid_file))
+        assert multiprocessing.active_children() == []
+        assert list(scratch.glob("resbinar-*")) == []
+    finally:
+        kill_leftovers(pid_file)
 
 
 def test_supersets_wait_behind_a_goal_that_times_out(tmp_path, monkeypatch):
@@ -818,7 +1001,7 @@ def pinned_grid(out_dir):
 
 # SHA-256 of the records (without `seconds`) and of the report bundle
 # that pinned_grid leaves; any change to what a grid writes shows here.
-GRID_RECORDS_DIGEST = "c8dae0b5a06a429a9eb973eaac0815c9aa419f45cf32ae64a99fd321e0849919"
+GRID_RECORDS_DIGEST = "a17112135abeaf8d0edca30140057984d0c7e20bda084f7744ad66e082d2590e"
 GRID_REPORT_DIGEST = "51d21012e4fbece9ae4c0948c0b58f547f7c0b36691ecc22ced940747f854dc3"
 
 
