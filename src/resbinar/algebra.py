@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .terms import (
     Identity,
@@ -186,29 +188,35 @@ def lattice_tables(leq: Order) -> tuple[Table, Table] | None:
 
 # --- evaluation and identity checking ----------------------------------------
 
-def _compile_term(t: Term, slot: dict[str, int], tables: dict[str, Table]):
-    """Closure evaluating t on a tuple of variable values (hot path)."""
+@cache
+def _tuples(n: int, arity: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Every tuple of `arity` values in {0..n-1}, in lexicographic order,
+    and each position's column: the values it takes over those tuples."""
+    tuples = tuple(itertools.product(range(n), repeat=arity))
+    return tuples, tuple(tuple(tup[i] for tup in tuples) for i in range(arity))
+
+
+def _values(t: Term, columns: Mapping[str, tuple[int, ...]],
+            tables: dict[str, Table]) -> Sequence[int]:
+    """t's value on every tuple of _tuples, one comprehension per operation
+    node (hot path)."""
     if isinstance(t, Variable):
-        i = slot[t.name]
-        return lambda tup: tup[i]
-    left = _compile_term(t.left, slot, tables)
-    right = _compile_term(t.right, slot, tables)
+        return columns[t.name]
     table = tables[t.op]
-    return lambda tup: table[left(tup)][right(tup)]
+    return [table[a][b] for a, b in zip(_values(t.left, columns, tables),
+                                        _values(t.right, columns, tables))]
 
 
 def _violations(b: FiniteBinar, ident: Identity) -> Iterator[Violation]:
     """Every violating assignment, in lexicographic tuple order."""
     names = identity_variables(ident)
-    slot = {name: i for i, name in enumerate(names)}
+    tuples, columns = _tuples(b.size, len(names))
+    columns = dict(zip(names, columns))
     tables = b.ops()
-    lhs = _compile_term(ident.lhs, slot, tables)
-    rhs = _compile_term(ident.rhs, slot, tables)
-    for tup in itertools.product(range(b.size), repeat=len(names)):
-        lv = lhs(tup)
-        rv = rhs(tup)
-        if lv != rv:
-            yield Violation(ident.name, tuple(zip(names, tup)), lv, rv)
+    lhs = _values(ident.lhs, columns, tables)
+    rhs = _values(ident.rhs, columns, tables)
+    for i in itertools.compress(range(len(tuples)), map(operator.ne, lhs, rhs)):
+        yield Violation(ident.name, tuple(zip(names, tuples[i])), lhs[i], rhs[i])
 
 
 def check_identity(b: FiniteBinar, ident: Identity) -> Violation | None:

@@ -286,6 +286,19 @@ def _cmd_enumerate(args) -> int:
         return EXIT_USAGE
 
 
+_EXIT_SIGNALS = (signal.SIGTERM, signal.SIGHUP)
+
+
+def _exit_on_signal(signum, _frame) -> None:
+    """Exit with 128 + signum, ignoring any further SIGTERM or SIGHUP first:
+    `timeout` signals its child and then the child's process group, and a
+    second SystemExit raised inside a `finally` would leave the remaining
+    workers and their scratch directories behind."""
+    for sig in _EXIT_SIGNALS:
+        signal.signal(sig, signal.SIG_IGN)
+    sys.exit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -299,8 +312,7 @@ def main(argv=None) -> int:
     }
     # Task workers lead their own process groups, out of the terminal's reach;
     # SIGTERM and SIGHUP unwind like Ctrl-C, through the `finally`s that kill them.
-    previous = {sig: signal.signal(sig, lambda signum, _: sys.exit(128 + signum))
-                for sig in (signal.SIGTERM, signal.SIGHUP)}
+    previous = {sig: signal.signal(sig, _exit_on_signal) for sig in _EXIT_SIGNALS}
     try:
         return handlers[args.command](args)
     except _InvalidTask as exc:
@@ -314,7 +326,8 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     finally:
         for sig, handler in previous.items():
-            signal.signal(sig, signal.SIG_DFL if handler is None else handler)
+            if signal.getsignal(sig) is _exit_on_signal:  # else the process is exiting
+                signal.signal(sig, signal.SIG_DFL if handler is None else handler)
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ refuted one, so those sides are always literal tuples.
 Clauses are built as tuples, normal by construction, and appended to the
 store in bulk.  add_clause's normalisation runs only where term values can
 overlap: a _force_into call whose target equals an input or that reads an
-op cell which is also an input (the lattice laws), and a refuted tuple
-whose two sides are the same literals.
+op cell which is also an input (the lattice laws).  A cell forced into
+itself adds no clause, and a refuted tuple whose two sides are the same
+literals rules its selector out with a unit clause.
 
 Without symmetry breaking, every relabeling pi of the carrier maps the
 clause set onto itself: a cell (op, r, c, v) goes to (op, pi[r], pi[c],
@@ -45,6 +46,19 @@ needs one clause per pair of argument values instead of n.  No carrier
 symmetry is exported, since a relabeling moves the fixed lattice; symmetry
 breaking is off too, as the tables already fix the labels.  A process keeps
 a _Size per (size, lattice) as it does per size.
+
+Lattice mode also folds by monotonicity.  In a residuated binar x*- is
+left adjoint to x\\- and -*y to -/y, so mult is monotone in each argument,
+x\\z antitone in x and monotone in z, and z/y monotone in z and antitone in
+y (Galatos, Jipsen, Kowalski and Ono, Residuated Lattices, 2007).  With
+the order fixed, a meet or join of two cells of one residuated operation
+whose arguments those facts order (_below) is the lower cell, or the
+upper one, on every model: it is encoded as that cell, with no auxiliary
+term.  On a chain every two such cells are ordered, both sides of each
+D1..D6 tuple fold to the same cell, each refuted tuple's selector gets a
+unit clause, and a refutation is UNSAT by unit propagation alone.
+Folding loses no model, since the cell equals the meet or join it
+replaces on every model; every SAT answer is still verified.
 
 Splitting a task over lattices loses no model when the lattices are one
 naturally labelled representative of each isomorphism class, as
@@ -503,7 +517,9 @@ class _Encoder:
         self.cnf._extend([(-a, -b) for a, b in itertools.combinations(lits, 2)])
 
     def _flatten(self, t: Term, env: Mapping[str, int]):
-        """Value of a term: an int, or a tuple of literals, one per value."""
+        """Value of a term: an int, or a tuple of literals, one per value.
+        In lattice mode a meet or join of two cells that _below orders is
+        the lower or the upper cell itself."""
         if isinstance(t, Variable):
             return env[t.name]
         left = self._flatten(t.left, env)
@@ -513,6 +529,11 @@ class _Encoder:
                 return self.fixed[t.op][left][right]
             first = self.varmap.var(t.op, left, right, 0)
             return tuple(range(first, first + self.n))
+        if t.op in self.fixed:
+            if self._below(left, right):
+                return left if t.op == "meet" else right
+            if self._below(right, left):
+                return right if t.op == "meet" else left
         key = (t.op, left, right)
         lits = self.varmap.aux.get(key)
         if lits is None:
@@ -547,6 +568,9 @@ class _Encoder:
             return
         n = self.n
         first = self.varmap.var(op, 0, 0, 0)
+        if (isinstance(left, int) and isinstance(right, int) and isinstance(target, tuple)
+                and target[0] == first + (left * n + right) * n):
+            return  # the cell forced into itself: every clause a tautology
         same = left == right
         rights = self._choices(right)
         pairs = [(first + (a * n + b) * n, pa if same and a == b else pa + pb)
@@ -576,6 +600,30 @@ class _Encoder:
         else:
             clauses = [prefix + (target[v],) for v, prefix in pairs]
         self.cnf._extend(clauses, not (isinstance(target, tuple) and target in (left, right)))
+
+    def _below(self, low, high) -> bool:
+        """Whether low <= high in every residuated binar on the fixed
+        lattice, by monotonicity: both are cells of one residuated op, and
+        mult[a][b] is monotone in a and in b, x\\z (lres row x, column z)
+        antitone in x and monotone in z, z/y (rres row z, column y)
+        monotone in z and antitone in y.  False for a constant or an
+        auxiliary term.  Only lattice mode calls it, where no meet or join
+        cell is a literal tuple."""
+        n, meet = self.n, self.fixed["meet"]
+        cells = []
+        for value in (low, high):
+            if isinstance(value, int) or value[0] > self.varmap.num_base:
+                return False
+            op, cell = divmod((value[0] - 1) // n, n * n)
+            cells.append((OPS[op], *divmod(cell, n)))
+        (op, r1, c1), (other, r2, c2) = cells
+        if op != other:
+            return False
+        if op == "lres":
+            r1, r2 = r2, r1
+        elif op == "rres":
+            c1, c2 = c2, c1
+        return meet[r1][r2] == r1 and meet[c1][c2] == c1
 
     def _true_unit(self) -> int:
         """A cell variable the fixed lattice's units make true."""
@@ -652,9 +700,10 @@ class _Encoder:
 
     def _refute(self, ident: Identity) -> None:
         """Some tuple must witness lhs != rhs: one selector per tuple.  In
-        lattice mode both sides of LD are constants: a tuple where they
-        differ needs no clause, one where they agree rules its selector
-        out."""
+        lattice mode both sides of LD are constants, and both sides of a
+        D1..D6 tuple can fold to one cell: a tuple whose sides are equal
+        rules its selector out, one with two different constants needs no
+        clause."""
         names = identity_variables(ident)
         for tup in itertools.product(range(self.n), repeat=len(names)):
             env = dict(zip(names, tup))
@@ -662,10 +711,10 @@ class _Encoder:
             self._allocs.append((tup, None, None))
             lhs = self._flatten(ident.lhs, env)
             rhs = self._flatten(ident.rhs, env)
-            if isinstance(lhs, int):
-                self.cnf._extend([(-w,)] if lhs == rhs else [])
-            else:
-                self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)], lhs != rhs)
+            if lhs == rhs:
+                self.cnf._extend([(-w,)])
+            elif not isinstance(lhs, int):
+                self.cnf._extend([(-w, -l, -r) for l, r in zip(lhs, rhs)])
         self.cnf._extend([tuple(self.selectors.values())])
 
 

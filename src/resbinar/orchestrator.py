@@ -348,8 +348,14 @@ def persist_result(result: SearchResult, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / RESULTS_NAME, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
-        handle.flush()
+        _write_record(handle, result)
+
+
+def _write_record(handle, result: SearchResult) -> None:
+    """Append the result's line to an open result file and flush it, so
+    that a crash loses at most the line being written."""
+    handle.write(json.dumps(result.to_record(), sort_keys=True) + "\n")
+    handle.flush()
 
 
 def load_results(directory: str | Path) -> list[SearchResult]:
@@ -596,26 +602,8 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                                      f"{_CANCELLED} {task.size}") for rest in queue]
             queue.clear()
         for result in results:
-            persist_result(result, config.out_dir)
+            _write_record(handle, result)
             outcome.results.append(result)
-
-    for queue in pending.values():
-        fresh: list[SearchTask] = []
-        sat_size = None
-        for task in queue:
-            prior = existing.get(task.key())
-            if prior is not None and (
-                prior.status in (SAT, UNSAT)
-                or (sat_size is not None and (prior.reason or "").startswith(_CANCELLED))
-            ):
-                outcome.results.append(prior)
-                if prior.status == SAT and sat_size is None:
-                    sat_size = task.size
-            elif sat_size is not None:
-                answer(task, UNKNOWN, None, f"{_CANCELLED} {sat_size}", 0.0)
-            else:
-                fresh.append(task)
-        queue[:] = fresh
 
     pool: list[_Worker] = []  # at most config.workers, busy or waiting
     # the answers workers gave in this call: per (size, lattice), each task
@@ -761,7 +749,27 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         if found is not None:
             conclude(state, found)
 
+    # one handle for the whole grid, written through _write_record
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle = open(path, "a", encoding="utf-8")
     try:
+        for queue in pending.values():
+            fresh: list[SearchTask] = []
+            sat_size = None
+            for task in queue:
+                prior = existing.get(task.key())
+                if prior is not None and (
+                    prior.status in (SAT, UNSAT)
+                    or (sat_size is not None and (prior.reason or "").startswith(_CANCELLED))
+                ):
+                    outcome.results.append(prior)
+                    if prior.status == SAT and sat_size is None:
+                        sat_size = task.size
+                elif sat_size is not None:
+                    answer(task, UNKNOWN, None, f"{_CANCELLED} {sat_size}", 0.0)
+                else:
+                    fresh.append(task)
+            queue[:] = fresh
         schedule()
         while in_flight := {w.conn: w for w in pool if w.task is not None}:
             if not any(pending.values()):
@@ -793,6 +801,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                                f"timeout after {config.timeout}s", now - worker.started)
             schedule()
     finally:
+        handle.close()
         for worker in pool:
             worker.stop()
     return outcome

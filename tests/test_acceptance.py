@@ -5,11 +5,11 @@ failure of the claim, not a tolerance to tune.  Engines per criterion:
 
 - 1 and 6, the equivalence sweeps, use the bundled CDCL solver so they
   exercise the pure-Python path end to end;
-- 4 and 5, and 2 at sizes 2..4, use the shared ENGINE from conftest (pysat
-  when it can be imported, the bundled solver otherwise), which settles
-  them either way;
-- 2 at size 5 and 3 need pysat (UNSAT at n = 5, witnesses at n = 7..9
-  with up to 4M clauses) and are skipped without it.
+- 2, 4 and 5 use the shared ENGINE from conftest (pysat when it can be
+  imported, the bundled solver otherwise), which settles them either way;
+  2 at size 5 does so split over the lattices, as a grid solves it;
+- 3 needs pysat (witnesses at n = 7..9 with up to 4M clauses) and is
+  skipped without it.
 """
 
 import itertools
@@ -27,7 +27,7 @@ from resbinar.encoder import (
     write_dimacs_file,
 )
 from resbinar.oracle import count_models, enumerate_lattices, oracle_search
-from resbinar.orchestrator import implication_closure
+from resbinar.orchestrator import implication_closure, task_lattices
 from resbinar.reporting import cayley_latex, hasse_dot, hasse_tikz
 from resbinar.solver import SAT, UNSAT, solve, solve_builtin
 from resbinar.terms import (
@@ -106,15 +106,19 @@ IMPLICATIONS = [
 ]
 
 
-def assert_implications_hold(sizes, engine):
+def assert_implications_hold(sizes, engine, split=False):
     """Assuming the two premise identities plus LD while refuting the
-    conclusion is UNSAT at every size given.  Any SAT is a hard failure."""
+    conclusion is UNSAT at every size given: in one encoding, or with
+    `split` on each lattice a grid task under LD is split over (a
+    representative of every distributive lattice of the size), each
+    encoded with its lattice fixed.  Any SAT is a hard failure."""
     for premises, conclusion in IMPLICATIONS:
         assert conclusion in implication_closure(premises)
         for n in sizes:
             task = SearchTask.make(n, assume=premises + ("LD",), refute=conclusion)
-            res = solve(encode_search(task), engine)
-            assert res.status == UNSAT, f"{task.describe()}: got {res.status}"
+            for lattice in task_lattices(n, True) if split else (None,):
+                res = solve(encode_search(task, EncodeOptions(lattice=lattice)), engine)
+                assert res.status == UNSAT, f"{task.describe()} on {lattice}: got {res.status}"
 
 
 def test_criterion_2_derived_implications_hold():
@@ -125,10 +129,9 @@ def test_criterion_2_derived_implications_hold():
 
 
 def test_criterion_2_derived_implications_hold_at_size_5():
-    """Criterion 2 at size 5, which the bundled solver does not settle in
-    reasonable time for every implication."""
-    pytest.importorskip("pysat")
-    assert_implications_hold((5,), PYSAT_ENGINE)
+    """Criterion 2 at size 5, split over the lattices, where the bundled
+    solver settles each implication in well under a second."""
+    assert_implications_hold((5,), ENGINE, split=True)
     print("criterion 2: PASS (6 implications at size 5 all UNSAT)")
 
 

@@ -251,6 +251,59 @@ def test_a_signalled_command_leaves_no_solver_running(tmp_path, command, signum)
                 pass
 
 
+def child_pids(pid):
+    """The processes whose parent is pid, read from /proc."""
+    out = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat_line = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:  # it has exited
+            continue
+        if stat_line and int(stat_line.rsplit(")", 1)[1].split()[1]) == pid:
+            out.append(int(entry.name))
+    return out
+
+
+def test_a_second_sigterm_does_not_abort_cleanup(tmp_path):
+    """`timeout` signals its child and then the child's process group, so
+    the child gets SIGTERM twice: the second, about 1 ms after the first,
+    must not cut short the cleanup the first started.  No worker and no
+    worker scratch directory may be left."""
+    solver, _ = backgrounding_solver(tmp_path)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    src = str(Path(resbinar.__file__).resolve().parents[1])
+    env = dict(os.environ, TMPDIR=str(scratch), PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resbinar.cli", "grid", "--min-size", "2", "--max-size", "2",
+         "--targets", "D1,D2,D3,D4", "--workers", "4", "--solver", solver,
+         "--out", str(tmp_path / "results")],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 10
+        # mid-run: four workers, each running its solver
+        while len(workers := child_pids(proc.pid)) < 4 or not all(map(child_pids, workers)):
+            assert time.monotonic() < deadline, "the four workers never started solving"
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        time.sleep(0.001)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+        assert all(gone(pid) for pid in workers)
+        assert list(scratch.glob("resbinar-*")) == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:  # each worker leads its group: it, the solver, `sleep`
+            try:
+                os.killpg(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 def test_search_prints_model_json(capsys):
     code = main(["search", "--size", "2", "--solver", "builtin"])
     assert code == 10

@@ -546,3 +546,18 @@ def test_lattice_mode_models_are_the_oracles():
             assert result.status == UNSAT
             assert found == {b for b in enumerate_residuated_binars(n)
                              if (b.meet, b.join) == lattice}, n
+
+
+def test_lattice_mode_refutes_on_the_chain_by_propagation_alone():
+    """Every D_i holds on a chain, and with the chain fixed monotonicity
+    orders every two cells a refuted tuple's side compares: each side
+    folds to one cell, the same on both sides, so each refutation is UNSAT
+    with no decision, alone and against the other five."""
+    for n in range(2, 7):
+        lattice = chain_tables(n)
+        for target in DISTRIBUTIVITY_NAMES:
+            others = [d for d in DISTRIBUTIVITY_NAMES if d != target]
+            for assume in ((), others):
+                task = SearchTask.make(n, assume=assume, refute=target)
+                result = solve_builtin(encode_search(task, EncodeOptions(lattice=lattice)))
+                assert (result.status, result.stats["decisions"]) == (UNSAT, 0), task.describe()

@@ -622,7 +622,7 @@ def grid_ld_shape(tmp_path, monkeypatch):
     log = tmp_path / "encoded"
     log_encodes(monkeypatch, log)
     events = []
-    submit, persist = resbinar.orchestrator._Worker.submit, resbinar.orchestrator.persist_result
+    submit, write = resbinar.orchestrator._Worker.submit, resbinar.orchestrator._write_record
     receive = resbinar.orchestrator._Worker.receive
 
     def submitted(self, task, lattice=None):
@@ -635,13 +635,13 @@ def grid_ld_shape(tmp_path, monkeypatch):
                        (payload or {}).get("status")))
         return payload
 
-    def persisted(result, directory):
+    def written(handle, result):
         events.append(("record", result))
-        persist(result, directory)
+        write(handle, result)
 
     monkeypatch.setattr(resbinar.orchestrator._Worker, "submit", submitted)
     monkeypatch.setattr(resbinar.orchestrator._Worker, "receive", received)
-    monkeypatch.setattr(resbinar.orchestrator, "persist_result", persisted)
+    monkeypatch.setattr(resbinar.orchestrator, "_write_record", written)
     others = [d for d in DISTRIBUTIVITY_NAMES if d != "D3"]
     subsets = tuple(frozenset(c) for r in range(len(others) + 1)
                     for c in itertools.combinations(others, r))
