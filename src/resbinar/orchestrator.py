@@ -23,10 +23,11 @@ lattice L answers lattice L of (A', t, n) for every A' containing A, since
 more assumptions admit no more models, and a verified model answers every
 task whose assumptions hold in it and whose target fails in it, after the
 coordinator verifies it for that task too.  Every answer a worker gives
-is kept for the rest of the grid; replayed answers, settled answers,
-failures and timeouts settle nothing.  A record settled on every lattice
-has the reason `settled by <task> on <lattice>`, one such part per lattice;
-an UNSAT that solved some of its lattices and was settled on the rest has
+is kept for the rest of the grid, in one list per size that each task is
+checked against once; replayed answers, settled answers, failures and
+timeouts settle nothing.  A record settled on every lattice has the
+reason `settled by <task> on <lattice>`, one such part per lattice; an
+UNSAT that solved some of its lattices and was settled on the rest has
 `solved on <lattices>; settled by ...`.
 
 One scheduling pass runs before the first subtask and after each wakeup's
@@ -62,9 +63,11 @@ subtask when it answers, so the encoder's per-size and per-lattice caches
 stay warm from subtask to subtask.  A worker whose subtask timed out, that
 died without an answer or that answered ERROR is killed, and a fresh one
 is forked when a subtask needs it; every worker is killed when the grid
-ends.  A worker also exits when the pipe from its coordinator closes: each
-worker closes its copies of the coordinator's ends of every pipe that was
-open when it was forked, so that no worker keeps another's pipe open.
+ends.  A worker joins its caller's pool before it is forked, so that an
+unwinding that cuts its start short kills it too.  A worker also exits
+when the pipe from its coordinator closes: each worker closes its copies
+of the coordinator's ends of every pipe that was open when it was
+forked, so that no worker keeps another's pipe open.
 """
 
 from __future__ import annotations
@@ -459,27 +462,31 @@ class _Worker:
     given, and leads a process group of its own so that stop() kills
     every process a solve started.  task and lattice are the subtask it is
     answering, task None while it waits; started is when that subtask was
-    submitted."""
+    submitted.
 
-    def __init__(self, solver_spec: str):
+    A worker made for a pool appends itself to it before it makes
+    anything, so that the caller's cleanup reaches it wherever an
+    exception or a signal cuts its making short."""
+
+    def __init__(self, solver_spec: str, pool: list[_Worker] | None = None):
         self.task: SearchTask | None = None
         self.lattice: Lattice = None
         self.started = 0.0
-        scratch, ends = None, []
+        self.scratch = self.conn = self.proc = None
+        if pool is not None:
+            pool.append(self)
         try:
-            self.scratch = scratch = tempfile.mkdtemp(prefix="resbinar-")
-            ends += _FORK.Pipe()
-            self.conn, child = ends
+            self.scratch = tempfile.mkdtemp(prefix="resbinar-")
+            self.conn, child = _FORK.Pipe()
             _COORDINATOR_ENDS.add(self.conn)
-            self.proc = _FORK.Process(target=_serve, args=(solver_spec, scratch, child))
-            self.proc.start()
+            try:
+                self.proc = _FORK.Process(target=_serve, args=(solver_spec, self.scratch, child))
+                self.proc.start()
+            finally:
+                child.close()
         except OSError as exc:
-            for end in ends:
-                end.close()
-            if scratch is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
+            self.stop()
             raise WorkerStartError(f"cannot start a worker: {exc}") from exc
-        child.close()
         # as shells do, so that the group exists before stop() can be called
         try:
             os.setpgid(self.proc.pid, self.proc.pid)
@@ -501,14 +508,21 @@ class _Worker:
             return None
 
     def stop(self) -> None:
-        """Kill the worker's process group and release its pipe and files."""
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except ProcessLookupError:  # every process in the group has exited
-            pass
-        self.proc.join()
-        self.conn.close()
-        shutil.rmtree(self.scratch, ignore_errors=True)
+        """Kill the worker's process group and release its pipe and files:
+        whatever of them was made, once."""
+        proc, self.proc = self.proc, None
+        if proc is not None and proc.pid is not None:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                # every process in the group has exited, or the worker's
+                # making was cut short before the group was made
+                proc.kill()
+            proc.join()
+        if self.conn is not None:
+            self.conn.close()
+        if self.scratch is not None:
+            shutil.rmtree(self.scratch, ignore_errors=True)
 
 
 def _verdict(task: SearchTask, payload: dict | None) -> tuple[str, FiniteBinar | None, str | None]:
@@ -532,33 +546,35 @@ def run_task(task: SearchTask, solver_spec: str,
     """Solve one task in a worker killed after `timeout` seconds (None for
     no limit); returns the verified (status, model, reason)."""
     check_timeout(timeout)
-    worker = _Worker(solver_spec)
+    pool: list[_Worker] = []
     try:
+        worker = _Worker(solver_spec, pool)
         worker.submit(task)
         if not worker.conn.poll(timeout):
             return UNKNOWN, None, f"timeout after {timeout}s"
         payload = worker.receive()
     finally:
-        worker.stop()
+        for worker in pool:
+            worker.stop()
     return _verdict(task, payload)
 
 
 @dataclass(eq=False)
 class _Answering:
-    """A goal's next task, from the first scheduling pass that reaches it
-    until it is recorded: its lattices neither answered nor handed out,
-    its subtasks in flight, and what the answered ones left."""
+    """A task a scheduling pass has reached as its goal's next one: its
+    lattices neither answered nor handed out, its deadline, and what its
+    answered subtasks left.  It stays after the task is recorded, so that
+    a sibling still in flight finds its deadline."""
 
     task: SearchTask
     open: list[Lattice]
-    flying: int = 0
+    deadline: float = math.inf  # from its first subtask's submission on
     seconds: float = 0.0  # its solved subtasks' worker time and its settling checks'
     settled: list[str] = field(default_factory=list)  # the subtask that settled each lattice
     solved: list[str] = field(default_factory=list)  # the lattices it was UNSAT on itself
     failure: str | None = None  # the first failed subtask's reason
-    reason: str | None = None  # the first UNSAT subtask's reason, if it gave one
-    models_tried: int = 0  # kept models of its size it was checked against
-    unsats_tried: dict[Lattice, int] = field(default_factory=dict)  # likewise, per lattice
+    tried: int = 0  # kept answers of its size it was checked against
+    recorded: bool = False
 
 
 def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
@@ -606,13 +622,10 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
             outcome.results.append(result)
 
     pool: list[_Worker] = []  # at most config.workers, busy or waiting
-    # the answers workers gave in this call: per (size, lattice), each task
-    # with an UNSAT subtask on it; per size, (task, lattice, model,
-    # identities holding in the model) of each SAT
-    unsats: dict[tuple[int, Lattice], list[SearchTask]] = {}
-    models: dict[int, list[tuple]] = {}
-    answering: dict[SearchTask, _Answering] = {}  # goals' next tasks, once started
-    deadlines: dict[SearchTask, float] = {}  # per task, once a subtask of it is handed out
+    # per size, each subtask a worker answered SAT or UNSAT in this call:
+    # (task, lattice, model or None, identities holding in the model)
+    answers: dict[int, list[tuple]] = {}
+    answering: dict[SearchTask, _Answering] = {}  # per task a pass has reached
 
     def settle(state: _Answering) -> tuple | None:
         """(status, model, reason) once state's task is answered, None
@@ -621,34 +634,34 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         on its lattice.  The time of each check that settles something is
         added to state.seconds."""
         task = state.task
-        stored = models.get(task.size, [])
-        for by, lattice, model, holds in stored[state.models_tried:]:
-            start = time.monotonic()
-            if task.assume <= holds and task.refute not in holds and not verify(task, model):
-                state.seconds += time.monotonic() - start
-                return SAT, model, f"{SETTLED} {describe(by, lattice)}"
-        state.models_tried = len(stored)
-        for lattice in tuple(state.open):
-            stored = unsats.get((task.size, lattice), [])
-            for by in stored[state.unsats_tried.get(lattice, 0):]:
+        stored = answers.get(task.size, [])
+        fresh = stored[state.tried:]
+        state.tried = len(stored)
+        for by, lattice, model, holds in fresh:
+            if model is not None:
                 start = time.monotonic()
-                if by.refute == task.refute and by.assume <= task.assume:
+                if task.assume <= holds and task.refute not in holds and not verify(task, model):
                     state.seconds += time.monotonic() - start
-                    state.open.remove(lattice)
-                    state.settled.append(describe(by, lattice))
-                    break
-            else:
-                state.unsats_tried[lattice] = len(stored)
-        if task in deadlines and time.monotonic() >= deadlines[task]:
+                    return SAT, model, f"{SETTLED} {describe(by, lattice)}"
+        for lattice in tuple(state.open):
+            for by, proved_on, model, _ in fresh:
+                if model is None and proved_on == lattice:
+                    start = time.monotonic()
+                    if by.refute == task.refute and by.assume <= task.assume:
+                        state.seconds += time.monotonic() - start
+                        state.open.remove(lattice)
+                        state.settled.append(describe(by, lattice))
+                        break
+        if time.monotonic() >= state.deadline:
             # its subtasks in flight are killed at the same deadline
             state.open.clear()
             state.failure = state.failure or f"timeout after {config.timeout}s"
-        if state.open or state.flying:
+        if state.open or any(w.task is task for w in pool):
             return None
         if state.failure is not None:
             return UNKNOWN, None, state.failure
         if not state.settled:
-            return UNSAT, None, state.reason
+            return UNSAT, None, None
         reason = f"{SETTLED} " + "; ".join(state.settled)
         if state.solved:
             reason = f"solved on {', '.join(state.solved)}; {reason}"
@@ -656,7 +669,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
 
     def conclude(state: _Answering, found: tuple) -> None:
         """Record the answer `found` of state's task, its goal's next one."""
-        del answering[state.task]
+        state.recorded = True
         answer(pending[goal_of(state.task)].pop(0), *found, state.seconds)
 
     def waits(task: SearchTask, lattice: Lattice, flying: list[tuple]) -> bool:
@@ -668,14 +681,15 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 continue
             if lattice is not None and (other.size, other_lattice) == (task.size, lattice):
                 return True
-            if other in answering and (expects_unsat(other) or not expects_unsat(task)):
+            if not answering[other].recorded and (expects_unsat(other) or not expects_unsat(task)):
                 return True
         return False
 
-    def schedule() -> None:
+    def schedule() -> list[_Answering]:
         """One pass: record each goal's next tasks while they are answered,
         then hand out open subtasks, one per goal per round, to free
-        workers, skipping those that wait."""
+        workers, skipping those that wait.  Returns the states of the
+        tasks left unanswered."""
         heads: list[_Answering] = []
         for queue in pending.values():
             while queue:
@@ -702,16 +716,15 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 else:
                     continue
                 state.open.remove(lattice)
-                state.flying += 1
                 worker = next((w for w in pool if w.task is None), None)
                 if worker is None:
-                    worker = _Worker(config.solver)
-                    pool.append(worker)
+                    worker = _Worker(config.solver, pool)
                 worker.submit(state.task, lattice)
-                if config.timeout is not None:
-                    deadlines.setdefault(state.task, worker.started + config.timeout)
+                # the first submission's, as `started` only grows
+                state.deadline = min(state.deadline, worker.started + (config.timeout or math.inf))
                 flying.append((state.task, lattice))
                 handed = True
+        return heads
 
     def finish(task: SearchTask, lattice: Lattice, status, model, reason, seconds) -> None:
         """Keep a worker's answer to (task, lattice) and give it to the
@@ -722,29 +735,23 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
         if status in (ERROR, FAIL):
             outcome.errors.append(f"{describe(task, lattice)}: {reason}")
             status = UNKNOWN
-        if status == UNSAT:
-            unsats.setdefault((task.size, lattice), []).append(task)
-        elif status == SAT:
-            holds = {name for name in IDENTITY_NAMES
-                     if check_identity(model, builtin(name)) is None}
-            models.setdefault(task.size, []).append((task, lattice, model, holds))
         if status != UNKNOWN:
+            holds = None if model is None else {
+                name for name in IDENTITY_NAMES if check_identity(model, builtin(name)) is None}
+            answers.setdefault(task.size, []).append((task, lattice, model, holds))
             outcome.subtasks += 1
-        state = answering.get(task)
-        if state is None:
+        state = answering[task]
+        if state.recorded:
             outcome.stray_s += seconds
             return
-        state.flying -= 1
         state.seconds += seconds
         if status == SAT:
             conclude(state, (SAT, model, reason))
             return
         if status == UNKNOWN:
             state.failure = state.failure or reason
-        else:
-            state.reason = state.reason or reason
-            if lattice is not None:
-                state.solved.append(lattice_name(lattice))
+        elif lattice is not None:
+            state.solved.append(lattice_name(lattice))
         found = settle(state)
         if found is not None:
             conclude(state, found)
@@ -770,18 +777,16 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                 else:
                     fresh.append(task)
             queue[:] = fresh
-        schedule()
+        heads = schedule()
         while in_flight := {w.conn: w for w in pool if w.task is not None}:
             if not any(pending.values()):
                 # no task is left to answer: what still runs settles nothing
                 now = time.monotonic()
                 outcome.stray_s += sum(now - w.started for w in in_flight.values())
                 break
-            wait = None
-            if config.timeout is not None:
-                due = min([deadlines[w.task] for w in in_flight.values()]
-                          + [deadlines[task] for task in answering if task in deadlines])
-                wait = max(0.0, due - time.monotonic())
+            due = min([answering[w.task].deadline for w in in_flight.values()]
+                      + [state.deadline for state in heads])
+            wait = max(0.0, due - time.monotonic()) if due < math.inf else None
             for conn in conn_wait(list(in_flight), timeout=wait):
                 worker = in_flight.pop(conn)
                 task, lattice, payload = worker.task, worker.lattice, worker.receive()
@@ -791,15 +796,14 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
                     worker.stop()  # dead, or its process may be what failed
                     pool.remove(worker)
                 finish(task, lattice, *_verdict(task, payload), seconds)
-            if config.timeout is not None:
-                now = time.monotonic()
-                for worker in in_flight.values():
-                    if now >= deadlines[worker.task]:
-                        worker.stop()
-                        pool.remove(worker)
-                        finish(worker.task, worker.lattice, UNKNOWN, None,
-                               f"timeout after {config.timeout}s", now - worker.started)
-            schedule()
+            now = time.monotonic()
+            for worker in in_flight.values():
+                if now >= answering[worker.task].deadline:
+                    worker.stop()
+                    pool.remove(worker)
+                    finish(worker.task, worker.lattice, UNKNOWN, None,
+                           f"timeout after {config.timeout}s", now - worker.started)
+            heads = schedule()
     finally:
         handle.close()
         for worker in pool:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ import resbinar.solver
 from resbinar.algebra import binar_from_dict, binar_to_dict, load_model, save_model, verify
 from resbinar.cli import main
 from resbinar.encoder import SearchTask
+from resbinar.orchestrator import GridConfig
 from resbinar.solver import UNKNOWN, SolveResult
 
 from conftest import (
@@ -24,6 +26,8 @@ from conftest import (
     chain_tables,
     gone,
     kill_leftovers,
+    lattice_tables_from_leq,
+    leq_from_pairs,
     make_binar,
     read_pid,
     require_installed_package,
@@ -48,6 +52,17 @@ def test_check_refute_fails_when_identity_holds(chain_model_file, capsys):
     assert main(["check", chain_model_file, "--refute", "D1"]) == 1
     out = capsys.readouterr().out
     assert "D1 holds but should fail" in out
+
+
+def test_check_refute_names_where_the_identity_fails(tmp_path, capsys):
+    # on the square with bottom 0 and top 3, this mult makes 2\(1 v 2) = 3
+    # while (2\1) v (2\2) = 1: D3 fails, and the refutation passes
+    meet, join = lattice_tables_from_leq(leq_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
+    mult = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 3, 3], [0, 0, 3, 3]]
+    path = tmp_path / "model.json"
+    save_model(make_binar(meet, join, mult), path)
+    assert main(["check", str(path), "--refute", "D3"]) == 0
+    assert capsys.readouterr().out == "D3 fails at x=2 y=1 z=2: 3 != 1\npass\n"
 
 
 def test_check_flags_broken_model(tmp_path, capsys):
@@ -384,6 +399,27 @@ def test_grid_counts_results_settled_by_other_answers(tmp_path, capsys):
                      r"0\.000s of worker time on no record$", out, re.M)
 
 
+def test_grid_prints_its_violations_and_errors(tmp_path, monkeypatch, capsys):
+    # under the false rule {D4} |- D3, D3 over {D4} with LD at n = 4 is
+    # expected UNSAT, yet it has a countermodel
+    monkeypatch.setattr(resbinar.orchestrator, "RULES", ((frozenset({"D4"}), "D3"),))
+    monkeypatch.setattr(resbinar.cli, "GridConfig", functools.partial(
+        GridConfig, policy="explicit", subsets=(frozenset({"D4"}),)))
+    code = main(["grid", "--targets", "D3", "--ld", "assume", "--min-size", "4",
+                 "--max-size", "4", "--solver", "builtin", "--out", str(tmp_path / "sat")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1] == "VIOLATION: n=4 assume=D4,LD refute=D3 is SAT but was expected UNSAT"
+    # a solver that cannot start fails the one subtask of the 2-chain
+    code = main(["grid", "--targets", "D3", "--ld", "assume", "--min-size", "2",
+                 "--max-size", "2", "--solver", "no-such-solver-xyz {file}",
+                 "--out", str(tmp_path / "error")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1].startswith("ERROR: n=2 assume=D4,LD refute=D3 on lattice 0<1: "
+                                "SolverSpawnError: cannot run 'no-such-solver-xyz'")
+
+
 def test_grid_reports_an_out_path_it_cannot_write(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -472,6 +508,23 @@ def test_enumerate_lattices_up_to_iso(capsys):
     assert main(["enumerate", "--size", "4", "--lattices", "--up-to-iso",
                  "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+# stdout of `resbinar enumerate --lattices --size 3`: every labelling of
+# the 3-chain, as JSON lines in enumeration order
+LATTICES_3 = [
+    '{"size": 3, "meet": [[0, 0, 0], [0, 1, 1], [0, 1, 2]], "join": [[0, 1, 2], [1, 1, 2], [2, 2, 2]]}',
+    '{"size": 3, "meet": [[0, 0, 0], [0, 1, 2], [0, 2, 2]], "join": [[0, 1, 2], [1, 1, 1], [2, 1, 2]]}',
+    '{"size": 3, "meet": [[0, 0, 2], [0, 1, 2], [2, 2, 2]], "join": [[0, 1, 0], [1, 1, 1], [0, 1, 2]]}',
+    '{"size": 3, "meet": [[0, 1, 0], [1, 1, 1], [0, 1, 2]], "join": [[0, 0, 2], [0, 1, 2], [2, 2, 2]]}',
+    '{"size": 3, "meet": [[0, 1, 2], [1, 1, 1], [2, 1, 2]], "join": [[0, 0, 0], [0, 1, 2], [0, 2, 2]]}',
+    '{"size": 3, "meet": [[0, 1, 2], [1, 1, 2], [2, 2, 2]], "join": [[0, 0, 0], [0, 1, 1], [0, 1, 2]]}',
+]
+
+
+def test_enumerate_lattices_streams_json_lines(capsys):
+    assert main(["enumerate", "--size", "3", "--lattices"]) == 0
+    assert capsys.readouterr().out.splitlines() == LATTICES_3
 
 
 # stdout of `resbinar enumerate --size 3 --up-to-iso`, frozen from the

@@ -23,7 +23,7 @@ from resbinar.encoder import (
     write_dimacs_file,
 )
 from resbinar.oracle import EXHAUSTIVE_BOUND, enumerate_lattices, enumerate_residuated_binars
-from resbinar.orchestrator import RULES
+from resbinar.orchestrator import RULES, lattice_name
 from resbinar.solver import SAT, UNKNOWN, UNSAT, solve_builtin
 from resbinar.terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
 
@@ -495,6 +495,125 @@ def test_lattice_mode_agrees_with_the_pinned_encoding():
                     assert (model.meet, model.join) == lattice, label
                     assert verify(task, model) == [], label
             assert statuses[0] == statuses[1] and UNKNOWN not in statuses, label
+
+
+# SHA-256 of write_dimacs_file output for each referee task on each referee
+# lattice, recorded before the grid's bookkeeping was reworked; the verdict
+# referee above sees a changed verdict, this sees any changed clause.
+LATTICE_ENCODING_DIGESTS = {
+    "n=2 assume=- refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=D1 refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=D1 on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=2 assume=D2 refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=D2 on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=2 assume=D3 refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=D3 on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=2 assume=D4 refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=D4 on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=2 assume=D5 refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=D5 on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=2 assume=D6 refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=D6 on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=2 assume=LD refute=- on lattice 0<1": "68ccb6baeaf7c3d5c3857eb510365ec1379e23f25ef560afa31cecbf878f9abf",
+    "n=2 assume=- refute=LD on lattice 0<1": "19e2bc7dbcd3e59b838d2e0eeece2731e67e77502ed0457407c31cfa366d3614",
+    "n=3 assume=- refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=D1 refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=D1 on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=3 assume=D2 refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=D2 on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=3 assume=D3 refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=D3 on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=3 assume=D4 refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=D4 on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=3 assume=D5 refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=D5 on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=3 assume=D6 refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=D6 on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=3 assume=LD refute=- on lattice 0<1 1<2": "f3785eea88e524b2b1f1ca06ecdd51090991dfc84452c21b9afcd61593e3354f",
+    "n=3 assume=- refute=LD on lattice 0<1 1<2": "fa714ee4219fb9a266d5ba17e4a9be7401aa093ec3ddad175a946fdc63a3de38",
+    "n=4 assume=- refute=- on lattice 0<1 0<2 1<3 2<3": "acb132fe68b0927ff6617248fca79504e4e4087029409baab78a378f918a3964",
+    "n=4 assume=D1 refute=- on lattice 0<1 0<2 1<3 2<3": "d769677c3760a412ce68c100bb2b1bdc7e34def9f703d18b295e9f4cac998224",
+    "n=4 assume=- refute=D1 on lattice 0<1 0<2 1<3 2<3": "ac3efc4ad2f7fd47bfdb894253cf37e6d535aea26cbb7f1eb56bdc3de8069362",
+    "n=4 assume=D2 refute=- on lattice 0<1 0<2 1<3 2<3": "a315b5c610470bc1eacc79496647e150ec7c70630e3b8d5d90f61bc6a63391e2",
+    "n=4 assume=- refute=D2 on lattice 0<1 0<2 1<3 2<3": "73cf0812aa68073d65633b048f09f6d549dacdb2110ff56e1f6e73f154150291",
+    "n=4 assume=D3 refute=- on lattice 0<1 0<2 1<3 2<3": "ffdc87f5b54c8a01bb65622042027031b2ff8418c45b4f5801dd28b943780372",
+    "n=4 assume=- refute=D3 on lattice 0<1 0<2 1<3 2<3": "ec0b5c13c24d4099b85b9afaf541f76a0bc828a3cf94b3f09ee1d128a0d637e9",
+    "n=4 assume=D4 refute=- on lattice 0<1 0<2 1<3 2<3": "1e7d040afdf2eb16edc3d3f483e99c1a30a1b158f66eff32b941a344639a3b1d",
+    "n=4 assume=- refute=D4 on lattice 0<1 0<2 1<3 2<3": "13c0e36fa338b77fae141f736214141af3fb9391b6dd4d2b918be1e7181246d0",
+    "n=4 assume=D5 refute=- on lattice 0<1 0<2 1<3 2<3": "c58a9cab7f633e9b7bfc5d1f3f3b8779d1868e1a506b2a3bef97edb37f7bdff2",
+    "n=4 assume=- refute=D5 on lattice 0<1 0<2 1<3 2<3": "6b2bd3cf4c0798cdda51012dd07501eda9b4d8fb3564cf29921d24f987dceb56",
+    "n=4 assume=D6 refute=- on lattice 0<1 0<2 1<3 2<3": "ece34a50d1e94035a19b56aedf705bec72d064fa369273e17f294ea47ab384ac",
+    "n=4 assume=- refute=D6 on lattice 0<1 0<2 1<3 2<3": "7983a35846182a4513a01637be30669b575d268911e6a2431dc725f75a10b875",
+    "n=4 assume=LD refute=- on lattice 0<1 0<2 1<3 2<3": "acb132fe68b0927ff6617248fca79504e4e4087029409baab78a378f918a3964",
+    "n=4 assume=- refute=LD on lattice 0<1 0<2 1<3 2<3": "51ac812084fcf9d8ebde4977cb1130d209afe004d55bce5052a365959ea3f8e3",
+    "n=4 assume=D4,D5,LD refute=D3 on lattice 0<1 0<2 1<3 2<3": "f4487e412e3e09ed968922cd4896d5fd09e16fe920d632d5d541d70c1dc9d936",
+    "n=4 assume=D3,D6,LD refute=D4 on lattice 0<1 0<2 1<3 2<3": "09012a160c6161c02d6e003c277e4252738718e9e094c681a7788cc0b004ab68",
+    "n=4 assume=D1,D4,LD refute=D6 on lattice 0<1 0<2 1<3 2<3": "974d51fe17fbea7a0457cbd560989f5ce89f15e9ae413a7284e3fe462bec4697",
+    "n=4 assume=D2,D3,LD refute=D5 on lattice 0<1 0<2 1<3 2<3": "62fcad7fc270e7df32dd8e04c2ecacba50545c75b64456caf85c033cf900c9e2",
+    "n=4 assume=D1,D5,LD refute=D2 on lattice 0<1 0<2 1<3 2<3": "598b4914440764098b05413da9edf689fb25666fb3154a2d53a694f87e75cc4a",
+    "n=4 assume=D2,D6,LD refute=D1 on lattice 0<1 0<2 1<3 2<3": "bd2476e80f824fe56229b1290191ba9890607f9182fdb910cd4afd8120a5602a",
+    "n=4 assume=- refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=D1 refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=D1 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D2 refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=D2 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D3 refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=D3 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D4 refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=D4 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D5 refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=D5 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D6 refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=D6 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=LD refute=- on lattice 0<1 1<2 2<3": "2149cecdd60a163543d7570571434aa7ce524add0a28668650f7fcf89c75b307",
+    "n=4 assume=- refute=LD on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D4,D5,LD refute=D3 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D3,D6,LD refute=D4 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D1,D4,LD refute=D6 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D2,D3,LD refute=D5 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D1,D5,LD refute=D2 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=4 assume=D2,D6,LD refute=D1 on lattice 0<1 1<2 2<3": "cc8dfcd1c79e2fd1d10eff48f3a926096f137923558067aa4a3718e19ea97fe0",
+    "n=5 assume=- refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "479e919a74a3b14c90335a58aae023cbf7ce6525f885db3b79b307b2d8dcb44f",
+    "n=5 assume=D1 refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "9e75f34a90d5b0a7147575fd5a83ca5c72d37e2f80c4e92b73371d50a5e040b7",
+    "n=5 assume=- refute=D1 on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "430b7b95056208e39ad68934bd49256a5abe1b352ea2d2ae2429b7fedd016fff",
+    "n=5 assume=D2 refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "5c29e1e3dba7930a75fa98024a0f538e7ac64da4f579f28cd5ba2bcec3612c0d",
+    "n=5 assume=- refute=D2 on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "32838f71b3cd9e74701b70f88ab21488db09e1ebef8e17ef0a4ec0cf67ae77b6",
+    "n=5 assume=D3 refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "41171694ff48d5e036f82164da0832a9d86e9fcd1d54741355436b8a4a689727",
+    "n=5 assume=- refute=D3 on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "cb79920bfc0e2530d936c77fad56108ede9140bb294a8c48853c6dc8acc35a33",
+    "n=5 assume=D4 refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "185667f26e969ab9c9736e5a278bc674a6128fa90b4362d13a2aaf30056e09ea",
+    "n=5 assume=- refute=D4 on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "8c65ec9bb2be9a4dde1a639e9a5d73f21facb76378e30fc6df032cfe41e00a04",
+    "n=5 assume=D5 refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "94c3b2d80495dc6ab44a81e45801a923073f184ed837b5efa88da7b0f2a0da77",
+    "n=5 assume=- refute=D5 on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "32721819bfeaadca4ff538b249766fb522bcb8a31e62b8936b5e848d6d5dff31",
+    "n=5 assume=D6 refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "20350f5a3d19e15ac991646d1c366e527f2174f94842550513a34420a7636fdc",
+    "n=5 assume=- refute=D6 on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "23153863c7bac36260604d9e5ad6ed139d4855e8661da4ded0522aab8b9ccb87",
+    "n=5 assume=LD refute=- on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "0d2240f95c9adccfed935d6aa83cb37ff577288a8da9997a58cc2f9e2ad52e06",
+    "n=5 assume=- refute=LD on lattice 0<1 0<2 0<3 1<4 2<4 3<4": "e7115a7f1774f2b88c2b9c8e889f964881feda734dfe6988eb75161d4e41eb41",
+    "n=5 assume=- refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "64d45d9318a8ba50c71e3c61af946df721f95b74db274722748165cae884a584",
+    "n=5 assume=D1 refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "563149ce82c354579dde45dafd31a496af7170217a26017e44dccbd4874f2967",
+    "n=5 assume=- refute=D1 on lattice 0<1 0<2 1<3 2<4 3<4": "07ca5ce8e0d6f837e47829078d6840151004ace9038d238349e2d463b413b7a5",
+    "n=5 assume=D2 refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "1ec9d4f46372e6736c76ec66439843763f86d94d14a9d246e42b5ce71e58951b",
+    "n=5 assume=- refute=D2 on lattice 0<1 0<2 1<3 2<4 3<4": "9612b7f7ebedc4e58bc959bf444a6caffa3008393b679a3bd1cb58fa1a15c4bc",
+    "n=5 assume=D3 refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "c043b855d5f39028b09cc7ec1071f7ba1432cd81f17224ef55755083ae13ed8b",
+    "n=5 assume=- refute=D3 on lattice 0<1 0<2 1<3 2<4 3<4": "83b744b6545ecb73bab916771a8c9f240cf43586aa6888bea26e79b0c50b6fb0",
+    "n=5 assume=D4 refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "a8f65341b3940f60baac261e365e6d125d3a6b795c9144a33ed03697ef2f5f0d",
+    "n=5 assume=- refute=D4 on lattice 0<1 0<2 1<3 2<4 3<4": "4c658a6c464bbeb6cf5c9e8f4967a19c03be3a1449b620de8561df46098fd0e4",
+    "n=5 assume=D5 refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "c20229dcb4795fc171a8c6e5c3ded92080180a95a25cdcf786321fe08706c04b",
+    "n=5 assume=- refute=D5 on lattice 0<1 0<2 1<3 2<4 3<4": "a7f52d102a8aa1b5c63da612844ae7b7e614f919b6945744fa2d9aed15033e9e",
+    "n=5 assume=D6 refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "db586225daf46becdb6f8b2bfbe7a14ddf3d4d6172235adf21aafb6a9670995f",
+    "n=5 assume=- refute=D6 on lattice 0<1 0<2 1<3 2<4 3<4": "6d2a36dfc5e04a5a902df6b98e1dd5c30ee3140ebf723c73010f7b4d70b8aa69",
+    "n=5 assume=LD refute=- on lattice 0<1 0<2 1<3 2<4 3<4": "fe6ca37f0dcd60002f538056a19faaa07daba73a995853109cbd56a2cbe99ff7",
+    "n=5 assume=- refute=LD on lattice 0<1 0<2 1<3 2<4 3<4": "d7cfa9e95b0e683a01342dffb5767d3104fa37ec0d5e28b6b49d9065be4f4208",
+}
+
+
+def test_lattice_mode_encodes_byte_for_byte_as_pinned(tmp_path):
+    digests = {}
+    for n, lattice in referee_lattices():
+        for task in referee_tasks(n):
+            cnf = encode_search(task, EncodeOptions(lattice=lattice))
+            label = f"{task.describe()} on {lattice_name(lattice)}"
+            digests[label] = hashlib.sha256(dimacs_bytes(cnf, tmp_path)).hexdigest()
+    assert digests == LATTICE_ENCODING_DIGESTS
 
 
 def test_lattice_mode_replays_blocks_like_cold_ones(tmp_path, monkeypatch):

@@ -277,6 +277,46 @@ def test_run_grid_resumes_without_resolving(tmp_path):
     assert len(again.results) == len(tasks)
 
 
+def test_a_rerun_records_the_cancellations_a_crash_lost(tmp_path, monkeypatch):
+    # D3 over {} with LD is SAT at n = 4, which cancels n = 5; a rerun that
+    # finds the SAT but not the cancellation records it again, solving nothing
+    config, tasks, _ = grid_to_completion(tmp_path, solver="builtin")
+    path = tmp_path / "results.jsonl"
+    written = path.read_text()
+    lines = written.splitlines(keepends=True)
+    assert [json.loads(line)["status"] for line in lines] == ["UNSAT", "UNSAT", "SAT", "UNKNOWN"]
+    path.write_text("".join(lines[:-1]))
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(resbinar.orchestrator, "_Worker", no_worker)
+    again = run_grid(tasks, config)
+    assert again.ok, again.errors
+    assert [(r.task.size, r.status, r.reason) for r in again.results][-1] == (
+        5, "UNKNOWN", "cancelled: goal satisfied at size 4")
+    assert path.read_text() == written
+
+
+def test_a_model_that_fails_verification_settles_nothing(tmp_path, monkeypatch):
+    # every worker decodes its SAT as the 4-chain with mult = meet, on
+    # which D3 holds: the square's model of {} fails, and so does {D4}'s,
+    # as {}'s settles nothing; only {}'s UNSAT on the chain settles {D4}
+    meet, join = chain_tables(4)
+    chain = make_binar(meet, join, meet)
+    monkeypatch.setattr(resbinar.orchestrator, "decode_model",
+                        lambda assignment, varmap, n: chain)
+    config, tasks, outcome = grid_to_completion(
+        tmp_path, subsets=(frozenset(), frozenset({"D4"})), min_size=4, max_size=4,
+        solver="builtin",
+    )
+    reason = "model failed verification: D3 holds but should fail"
+    assert [(r.status, r.reason) for r in outcome.results] == [("UNKNOWN", reason)] * 2
+    assert outcome.errors == [f"n=4 assume=LD refute=D3 on {SQUARE}: {reason}",
+                              f"n=4 assume=D4,LD refute=D3 on {SQUARE}: {reason}"]
+    assert outcome.subtasks == 1
+
+
 def test_run_grid_retries_tasks_whose_solver_failed(tmp_path):
     # D3 under LD alone is refutable only from n = 4 on, so n = 2..4 is
     # UNSAT, UNSAT, SAT once a solver runs.
@@ -1090,3 +1130,31 @@ def test_a_worker_that_cannot_be_forked_leaves_nothing_behind(tmp_path, monkeypa
         run_task(SearchTask(2), "builtin")
     assert len(pipes) == 1 and all(end.closed for end in pipes[0])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("caller", ["run_grid", "run_task"])
+def test_a_signal_just_after_a_fork_leaves_no_worker_behind(tmp_path, monkeypatch, caller):
+    """SIGTERM or SIGHUP, which cli.main turns into SystemExit, can land
+    after a worker is forked and before its caller holds it; the caller's
+    cleanup must still stop it and remove its scratch directory."""
+    start = resbinar.orchestrator._FORK.Process.start
+
+    def interrupted(self):
+        start(self)
+        raise SystemExit(143)
+
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(resbinar.orchestrator._FORK.Process, "start", interrupted)
+    monkeypatch.setattr(resbinar.orchestrator.tempfile, "tempdir", str(scratch))
+    with pytest.raises(SystemExit):
+        if caller == "run_grid":
+            grid_to_completion(tmp_path / "out", max_size=2, solver="builtin")
+        else:
+            run_task(SearchTask(2), "builtin")
+    left = multiprocessing.active_children()
+    for proc in left:  # else the test run would wait for it at exit
+        proc.kill()
+        proc.join()
+    assert left == []
+    assert list(scratch.glob("resbinar-*")) == []
