@@ -314,7 +314,16 @@ def main(argv=None) -> int:
     # SIGTERM and SIGHUP unwind like Ctrl-C, through the `finally`s that kill them.
     previous = {sig: signal.signal(sig, _exit_on_signal) for sig in _EXIT_SIGNALS}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # the reader has gone; the interpreter's own flush at exit must not
+        # write to the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
     except _InvalidTask as exc:
         print(f"invalid task: {exc}", file=sys.stderr)
         return EXIT_USAGE

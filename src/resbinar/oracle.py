@@ -143,21 +143,16 @@ def enumerate_residuated_binars(n: int) -> Iterator[FiniteBinar]:
 
 # --- task answering -----------------------------------------------------------
 
-_IDENTITY_BIT = {name: i for i, name in enumerate(IDENTITY_NAMES)}
-
-_pool_cache: dict[int, tuple[tuple[FiniteBinar, int], ...]] = {}
+_pool_cache: dict[int, tuple[tuple[FiniteBinar, frozenset[str]], ...]] = {}
 
 
-def identity_profile(b: FiniteBinar) -> int:
-    """Bitmask of which of D1..D6, LD hold, in IDENTITY_NAMES bit order."""
-    mask = 0
-    for name, bit in _IDENTITY_BIT.items():
-        if check_identity(b, builtin(name)) is None:
-            mask |= 1 << bit
-    return mask
+def identity_profile(b: FiniteBinar) -> frozenset[str]:
+    """b's profile: the names in IDENTITY_NAMES of the identities that hold
+    in b.  The oracle's pool and run_grid's kept answers both read it."""
+    return frozenset(name for name in IDENTITY_NAMES if check_identity(b, builtin(name)) is None)
 
 
-def _model_pool(n: int) -> tuple[tuple[FiniteBinar, int], ...]:
+def _model_pool(n: int) -> tuple[tuple[FiniteBinar, frozenset[str]], ...]:
     if n > EXHAUSTIVE_BOUND:
         raise BoundExceeded(f"oracle answers require n <= {EXHAUSTIVE_BOUND}")
     if n not in _pool_cache:
@@ -167,23 +162,10 @@ def _model_pool(n: int) -> tuple[tuple[FiniteBinar, int], ...]:
     return _pool_cache[n]
 
 
-def _constraint_masks(
-    assume: Iterable[Identity | str], refute: Identity | str | None
-) -> tuple[int, int]:
-    need = 0
-    for ident in assume:
-        need |= 1 << _IDENTITY_BIT[identity_name(ident)]
-    avoid = 0
-    if refute is not None:
-        avoid = 1 << _IDENTITY_BIT[identity_name(refute)]
-    return need, avoid
-
-
 def oracle_search(task: "SearchTask") -> FiniteBinar | None:
     """First enumerated model meeting the task, or None if none exists."""
-    need, avoid = _constraint_masks(task.assume, task.refute)
-    for binar, mask in _model_pool(task.size):
-        if mask & need == need and not mask & avoid:
+    for binar, profile in _model_pool(task.size):
+        if task.assume <= profile and task.refute not in profile:
             return binar
     return None
 
@@ -195,5 +177,6 @@ def count_models(
 ) -> int:
     """Exact number of labeled models meeting the constraints."""
     pool = _model_pool(n)
-    need, avoid = _constraint_masks(assume, refute)
-    return sum(1 for _, mask in pool if mask & need == need and not mask & avoid)
+    need = frozenset(map(identity_name, assume))
+    avoid = None if refute is None else identity_name(refute)
+    return sum(1 for _, profile in pool if need <= profile and avoid not in profile)

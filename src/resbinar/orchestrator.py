@@ -93,15 +93,14 @@ from .algebra import (
     Table,
     binar_from_dict,
     binar_to_dict,
-    check_identity,
     covering_relation,
     order_from_tables,
     verify,
 )
 from .encoder import ENCODING_CEILING, EncodeOptions, SearchTask, decode_model, encode_search
-from .oracle import LATTICE_BOUND, enumerate_lattices, is_distributive
+from .oracle import LATTICE_BOUND, enumerate_lattices, identity_profile, is_distributive
 from .solver import DEFAULT_SOLVER, SAT, UNKNOWN, UNSAT, solve
-from .terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, builtin
+from .terms import DISTRIBUTIVITY_NAMES
 
 # seconds: a worker's deadline is waited on in whole milliseconds, at most 2**31 - 1
 TIMEOUT_CEILING = 2_147_483
@@ -464,17 +463,16 @@ class _Worker:
     answering, task None while it waits; started is when that subtask was
     submitted.
 
-    A worker made for a pool appends itself to it before it makes
+    A worker appends itself to its caller's pool before it makes
     anything, so that the caller's cleanup reaches it wherever an
     exception or a signal cuts its making short."""
 
-    def __init__(self, solver_spec: str, pool: list[_Worker] | None = None):
+    def __init__(self, solver_spec: str, pool: list[_Worker]):
         self.task: SearchTask | None = None
         self.lattice: Lattice = None
         self.started = 0.0
         self.scratch = self.conn = self.proc = None
-        if pool is not None:
-            pool.append(self)
+        pool.append(self)
         try:
             self.scratch = tempfile.mkdtemp(prefix="resbinar-")
             self.conn, child = _FORK.Pipe()
@@ -623,7 +621,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
 
     pool: list[_Worker] = []  # at most config.workers, busy or waiting
     # per size, each subtask a worker answered SAT or UNSAT in this call:
-    # (task, lattice, model or None, identities holding in the model)
+    # (task, lattice, model or None, the model's identity_profile or None)
     answers: dict[int, list[tuple]] = {}
     answering: dict[SearchTask, _Answering] = {}  # per task a pass has reached
 
@@ -736,8 +734,7 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
             outcome.errors.append(f"{describe(task, lattice)}: {reason}")
             status = UNKNOWN
         if status != UNKNOWN:
-            holds = None if model is None else {
-                name for name in IDENTITY_NAMES if check_identity(model, builtin(name)) is None}
+            holds = None if model is None else identity_profile(model)
             answers.setdefault(task.size, []).append((task, lattice, model, holds))
             outcome.subtasks += 1
         state = answering[task]

@@ -266,6 +266,28 @@ def test_a_signalled_command_leaves_no_solver_running(tmp_path, command, signum)
                 pass
 
 
+@pytest.mark.parametrize("command", [
+    ["enumerate", "--size", "2"],
+    ["enumerate", "--size", "3", "--count-only"],
+    ["search", "--size", "2", "--solver", "builtin"],
+])
+def test_a_closed_stdout_ends_the_command_without_a_traceback(tmp_path, command):
+    # as `resbinar ... | head -0` does: the reader is gone before any output
+    src = str(Path(resbinar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "resbinar.cli", *command],
+                              cwd=tmp_path, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
 def child_pids(pid):
     """The processes whose parent is pid, read from /proc."""
     out = []

@@ -22,7 +22,8 @@ from resbinar.oracle import (
     is_distributive,
     oracle_search,
 )
-from resbinar.terms import IDENTITY_NAMES, LATTICE_IDENTITIES, builtin
+from resbinar.orchestrator import GridConfig, build_grid, run_grid
+from resbinar.terms import DISTRIBUTIVITY_NAMES, IDENTITY_NAMES, LATTICE_IDENTITIES, builtin
 
 from conftest import M3_LEQ, N5_LEQ, lattice_tables_from_leq
 
@@ -142,10 +143,33 @@ def test_exhaustive_bound():
 def test_identity_profile_full_at_small_sizes():
     # Every residuated binar on up to three elements satisfies all six
     # distributivity laws and lattice distributivity.
-    full = (1 << len(IDENTITY_NAMES)) - 1
+    full = frozenset(IDENTITY_NAMES)
     for n in (1, 2, 3):
         for b in enumerate_residuated_binars(n):
             assert identity_profile(b) == full
+
+
+# The profiles of the models a one-worker grid solves for D3 with LD assumed
+# and every subset of the other five, n = 2..4, on the bundled solver, keyed
+# by the task each answers first; the grid is deterministic on one worker.
+PARTIAL_PROFILES = {
+    "n=4 assume=LD refute=D3": {"D1", "D2", "D5", "D6", "LD"},
+    "n=4 assume=D4,LD refute=D3": {"D2", "D4", "LD"},
+    "n=4 assume=D1,D4,LD refute=D3": {"D1", "D2", "D4", "D6", "LD"},
+}
+
+
+def test_identity_profile_of_partial_models(tmp_path):
+    others = [d for d in DISTRIBUTIVITY_NAMES if d != "D3"]
+    subsets = tuple(frozenset(c) for r in range(len(others) + 1)
+                    for c in itertools.combinations(others, r))
+    config = GridConfig(targets=("D3",), policy="explicit", subsets=subsets, ld="assume",
+                        min_size=2, max_size=4, workers=1, solver="builtin", out_dir=tmp_path)
+    outcome = run_grid(build_grid(config), config)
+    assert outcome.ok, outcome.errors
+    solved = {r.task.describe(): identity_profile(r.model)
+              for r in outcome.results if r.status == "SAT" and r.reason is None}
+    assert solved == {task: frozenset(names) for task, names in PARTIAL_PROFILES.items()}
 
 
 def test_count_models_matches_profiles():

@@ -620,8 +620,10 @@ def test_a_grid_with_a_timeout_leaves_no_process_and_no_scratch(tmp_path, monkey
 
 def test_workers_exit_when_their_coordinator_closes_its_pipes(capfd):
     # the first has a task, whose answer has nowhere to go
-    workers = [resbinar.orchestrator._Worker("builtin") for _ in range(2)]
+    workers = []  # the pool each worker joins, for the cleanup below
     try:
+        for _ in range(2):
+            resbinar.orchestrator._Worker("builtin", workers)
         workers[0].submit(SearchTask(3, refute="D1"))
         for worker in workers:
             worker.conn.close()
@@ -639,8 +641,10 @@ def test_an_idle_worker_outlives_no_later_busy_worker(monkeypatch):
     # that hangs, must not hold the earlier, idle worker's pipe open
     monkeypatch.setattr(resbinar.orchestrator, "encode_search",
                         lambda task, options: time.sleep(30))
-    workers = [resbinar.orchestrator._Worker("builtin") for _ in range(2)]
+    workers = []  # the pool each worker joins, for the cleanup below
     try:
+        for _ in range(2):
+            resbinar.orchestrator._Worker("builtin", workers)
         workers[1].submit(SearchTask(2))
         for worker in workers:
             worker.conn.close()
