@@ -56,7 +56,6 @@ from .orchestrator import (
     goal_of,
     implication_closure,
     load_results,
-    persist_result,
     run_grid,
 )
 from .reporting import cayley_latex, hasse_dot, hasse_tikz, report_bundle

@@ -184,7 +184,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_grid(args) -> int:
     targets = DISTRIBUTIVITY_NAMES
-    if args.targets:
+    if args.targets is not None:
         targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
     config = GridConfig(
         targets=targets,

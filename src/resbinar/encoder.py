@@ -198,7 +198,6 @@ class CnfInstance:
 
     def __init__(self, num_vars: int = 0):
         self.num_vars = num_vars
-        self.clause_count = 0
         self._lits = array("i")
         self._ends = array("i")
         self.varmap: VarMap | None = None
@@ -210,6 +209,10 @@ class CnfInstance:
         for clause in clauses:
             cnf.add_clause(clause)
         return cnf
+
+    @property
+    def clause_count(self) -> int:
+        return len(self._ends)
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -233,7 +236,6 @@ class CnfInstance:
             raise ValueError("empty clause")
         self._lits.extend(out)
         self._ends.append(len(self._lits))
-        self.clause_count += 1
         return True
 
     def iter_clauses(self) -> Iterator[tuple[int, ...]]:
@@ -263,7 +265,6 @@ class CnfInstance:
         next(ends)
         self._lits.extend(itertools.chain.from_iterable(clauses))
         self._ends.extend(ends)
-        self.clause_count += len(clauses)
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ class _Size:
             enc._fixed_lattice()
         cnf = enc.cnf
         self.lits, self.ends = cnf._lits, cnf._ends
-        self.num_vars, self.clause_count = cnf.num_vars, cnf.clause_count
+        self.num_vars = cnf.num_vars
         self.aux = enc.varmap.aux
         self.blocks: dict[tuple[str, str], _Block] = {}
         self.lifts: dict[tuple[int, ...], array] = {}
@@ -390,7 +391,6 @@ class _Block:
                 cnf._lits.extend(map(table.__getitem__,
                                      self.lits[offsets[at] - lit0:offsets[lo] - lit0]))
                 cnf._ends.extend(map(shift.__add__, offsets[at + 1:lo + 1]))
-                cnf.clause_count += lo - at
             at = hi
 
 
@@ -415,7 +415,7 @@ class _Encoder:
         size = self._size = _size_cache(self.n, self.opts.lattice)
         cnf = self.cnf
         cnf._lits, cnf._ends = size.lits[:], size.ends[:]
-        cnf.num_vars, cnf.clause_count = size.num_vars, size.clause_count
+        cnf.num_vars = size.num_vars
         self.varmap.aux = dict(size.aux)
         for name in sorted(self.task.assume):
             self._block("assume", name)

@@ -9,6 +9,14 @@ within the range; different goals run concurrently, those with the fewest
 assumptions first.  The coordinator is the single writer of the result
 file and re-verifies every claimed model before recording it.
 
+A rerun resumes from the result file, which it reads as `load_results`
+does.  A last line without its newline is a write a crash cut short:
+when it holds a whole record it is kept, and the rerun ends it with a
+newline; any other such line is dropped, with a warning unless it is
+blank, and the rerun cuts it away.  Any other bad line, one with a byte
+that is not UTF-8 included, is `corrupt result line N`, and the file is
+left as it is.
+
 A task is solved as one subtask per lattice (`task_lattices`): for n up to
 `oracle.LATTICE_BOUND`, one per isomorphism class of n-element lattices,
 the distributive ones only when LD is assumed, each encoded with its meet
@@ -346,13 +354,6 @@ def build_grid(config: GridConfig) -> list[SearchTask]:
 
 # --- persistence ---------------------------------------------------------------
 
-def persist_result(result: SearchResult, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / RESULTS_NAME, "a", encoding="utf-8") as handle:
-        _write_record(handle, result)
-
-
 def _write_record(handle, result: SearchResult) -> None:
     """Append the result's line to an open result file and flush it, so
     that a crash loses at most the line being written."""
@@ -362,45 +363,36 @@ def _write_record(handle, result: SearchResult) -> None:
 
 def load_results(directory: str | Path) -> list[SearchResult]:
     """The last record of each task in the result file, in the order the
-    tasks first appear; a bad line is corrupt unless, lacking its newline,
-    it is a last write cut short, which is skipped."""
-    path = Path(directory) / RESULTS_NAME
+    tasks first appear.  Blank lines hold nothing.  A last line without
+    its newline is a write cut short: it is kept when it holds a whole
+    record, and the next grid ends it with a newline; any other such line
+    is dropped, with a warning unless it is blank, and the next grid cuts
+    it away.  Any other bad line, one with a byte that is not UTF-8
+    included, is an OSError `corrupt result line N`."""
+    return list(_read_results(Path(directory) / RESULTS_NAME)[0].values())
+
+
+def _read_results(path: Path) -> tuple[dict[tuple, SearchResult], tuple[int, bool] | None]:
+    """load_results' records by task key, and the file's last line if it
+    lacks its newline, as (its offset, whether it holds a whole record)."""
     if not path.exists():
-        return []
-    latest: dict[tuple, SearchResult] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            result = SearchResult.from_record(json.loads(line))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            if not line.endswith("\n"):  # only the last line can lack it
-                warnings.warn(f"dropping partial trailing result line: {exc}")
-                continue
-            raise OSError(f"corrupt result line {i + 1} in {path}: {exc}") from None
-        latest[result.task.key()] = result
-    return list(latest.values())
-
-
-def _end_last_line(path: Path) -> None:
-    """Make the result file safe to append to after a write was cut short.
-
-    A last line without its newline is cut away when it holds no whole
-    record, as load_results has already dropped it, and otherwise gets one.
-    """
+        return {}, None
     data = path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    start = data.rfind(b"\n") + 1
-    try:
-        SearchResult.from_record(json.loads(data[start:]))
-    except (KeyError, ValueError):
-        os.truncate(path, start)
-        return
-    with open(path, "ab") as handle:
-        handle.write(b"\n")
+    lines = data.split(b"\n")  # the last one lacks its newline, and is empty if none does
+    latest: dict[tuple, SearchResult] = {}
+    for number, line in enumerate(lines, 1):
+        result = None
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                result = SearchResult.from_record(json.loads(text))
+                latest[result.task.key()] = result
+        except ValueError as exc:
+            if number < len(lines):
+                raise OSError(f"corrupt result line {number} in {path}: {exc}") from None
+            warnings.warn(f"dropping partial trailing result line: {exc}")
+    tail = (len(data) - len(lines[-1]), result is not None) if lines[-1] else None
+    return latest, tail
 
 
 # --- execution -----------------------------------------------------------------
@@ -589,14 +581,14 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     cancellation whose SAT is not on record.
     """
     outcome = GridOutcome()
+    path = Path(config.out_dir) / RESULTS_NAME
     try:
-        existing = {r.task.key(): r for r in load_results(config.out_dir)}
+        existing, tail = _read_results(path)
     except OSError as exc:
         outcome.errors.append(str(exc))
         return outcome
-    path = Path(config.out_dir) / RESULTS_NAME
-    if path.exists():
-        _end_last_line(path)
+    if tail is not None and not tail[1]:
+        os.truncate(path, tail[0])
 
     pending: dict[tuple, list[SearchTask]] = {}  # per goal, smallest size first
     for task in dict.fromkeys(tasks):
@@ -757,6 +749,8 @@ def run_grid(tasks: Iterable[SearchTask], config: GridConfig) -> GridOutcome:
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = open(path, "a", encoding="utf-8")
     try:
+        if tail is not None and tail[1]:
+            handle.write("\n")
         for queue in pending.values():
             fresh: list[SearchTask] = []
             sat_size = None

@@ -455,6 +455,17 @@ def test_grid_reports_an_out_path_it_cannot_write(tmp_path, capsys, monkeypatch)
     assert started == []
 
 
+def test_grid_rejects_empty_targets(tmp_path, capsys, monkeypatch):
+    # an empty --targets once ran all six targets
+    out = tmp_path / "results"
+    started = []
+    monkeypatch.setattr(resbinar.cli, "run_grid", lambda *args: started.append(args))
+    code = main(["grid", "--targets", "", "--out", str(out)])
+    assert code == 2
+    assert "invalid configuration: no targets" in capsys.readouterr().err
+    assert started == [] and not out.exists()
+
+
 def test_report_reports_an_out_path_it_cannot_write(tmp_path, capsys):
     results = tmp_path / "results"
     results.mkdir()
@@ -482,6 +493,24 @@ def test_report_rejects_a_corrupt_result_file(tmp_path, capsys):
     assert main(["report", "--in", str(results), "--out", str(report_dir)]) == 1
     assert capsys.readouterr().err.startswith("ERROR: corrupt result line 1")
     assert not report_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "grid"])
+def test_a_byte_that_is_not_utf8_is_a_corrupt_line(tmp_path, capsys, command):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "results.jsonl").write_bytes(b"\xff\n")
+    args = {
+        "report": ["report", "--in", str(results), "--out", str(tmp_path / "report")],
+        "grid": ["grid", "--targets", "D1", "--max-size", "2", "--solver", "builtin",
+                 "--out", str(results)],
+    }[command]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert "ERROR: corrupt result line 1 in" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+    assert (results / "results.jsonl").read_bytes() == b"\xff\n"
+    assert not (tmp_path / "report").exists()
 
 
 def test_report_rejects_a_whole_bad_last_line(tmp_path, capsys):

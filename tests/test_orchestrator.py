@@ -26,7 +26,6 @@ from resbinar.orchestrator import (
     implication_closure,
     lattice_name,
     load_results,
-    persist_result,
     run_grid,
     run_task,
     WorkerStartError,
@@ -160,6 +159,14 @@ def result_fixture(with_model):
     )
 
 
+RECORD = (json.dumps(result_fixture(False).to_record(), sort_keys=True) + "\n").encode()
+
+
+def persist(result, directory):
+    with open(directory / "results.jsonl", "a", encoding="utf-8") as handle:
+        resbinar.orchestrator._write_record(handle, result)
+
+
 def test_search_result_record_roundtrip():
     for with_model in (True, False):
         original = result_fixture(with_model)
@@ -174,13 +181,13 @@ def test_search_result_record_roundtrip():
 def test_persist_and_load(tmp_path):
     a = result_fixture(True)
     b = dataclasses.replace(result_fixture(False), task=SearchTask.make(3, refute="D2"))
-    persist_result(a, tmp_path)
-    persist_result(b, tmp_path)
+    persist(a, tmp_path)
+    persist(b, tmp_path)
     loaded = load_results(tmp_path)
     assert [r.status for r in loaded] == ["SAT", "UNSAT"]
     assert loaded[0].model == a.model
     # a later record of the same task replaces the earlier one in place
-    persist_result(dataclasses.replace(a, status="UNKNOWN", model=None), tmp_path)
+    persist(dataclasses.replace(a, status="UNKNOWN", model=None), tmp_path)
     assert [r.status for r in load_results(tmp_path)] == ["UNKNOWN", "UNSAT"]
 
 
@@ -189,7 +196,7 @@ def test_load_results_missing_directory(tmp_path):
 
 
 def test_load_results_partial_final_line(tmp_path):
-    persist_result(result_fixture(False), tmp_path)
+    persist(result_fixture(False), tmp_path)
     with open(tmp_path / "results.jsonl", "a", encoding="utf-8") as handle:
         handle.write('{"task": {"size": 2')  # interrupted write
     with warnings.catch_warnings(record=True) as caught:
@@ -200,10 +207,10 @@ def test_load_results_partial_final_line(tmp_path):
 
 
 def test_load_results_corrupt_middle_line(tmp_path):
-    persist_result(result_fixture(False), tmp_path)
+    persist(result_fixture(False), tmp_path)
     with open(tmp_path / "results.jsonl", "a", encoding="utf-8") as handle:
         handle.write("garbage\n")
-    persist_result(result_fixture(True), tmp_path)
+    persist(result_fixture(True), tmp_path)
     with pytest.raises(OSError):
         load_results(tmp_path)
 
@@ -364,6 +371,53 @@ def test_run_grid_resumes_after_a_record_cut_in_half(tmp_path):
     assert not outcome.ok
     assert outcome.errors[0].startswith("corrupt result line 3 ")
     assert path.read_bytes() == broken
+
+
+def test_a_cut_at_any_byte_of_the_last_line_resumes(tmp_path):
+    # a cut that leaves a whole record keeps it and ends it with a newline;
+    # any other cut is dropped, with a warning unless blank, and cut away
+    config, tasks, outcome = grid_to_completion(tmp_path, max_size=3, solver="builtin")
+    expected = [(r.task.key(), r.status) for r in outcome.results]
+    path = tmp_path / "results.jsonl"
+    written = path.read_bytes()
+    start = written.rstrip(b"\n").rfind(b"\n") + 1
+    for cut in range(start, len(written)):
+        path.write_bytes(written[:cut])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            again = run_grid(tasks, config)
+        assert again.errors == [], cut
+        assert [(r.task.key(), r.status) for r in again.results] == expected, cut
+        assert bool(caught) == (start < cut < len(written) - 1), cut
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == len(tasks) + 1 and lines[-1] == b"", cut
+
+
+@pytest.mark.parametrize("data", [b"\xff\n", b"\xff\n" + RECORD], ids=["last", "middle"])
+def test_a_line_with_a_byte_that_is_not_utf8_is_corrupt(tmp_path, data):
+    path = tmp_path / "results.jsonl"
+    path.write_bytes(RECORD + data)
+    with pytest.raises(OSError, match="corrupt result line 2 .*'utf-8' codec"):
+        load_results(tmp_path)
+    config = GridConfig(targets=("D3",), min_size=2, max_size=2, solver="builtin",
+                        out_dir=tmp_path)
+    outcome = run_grid(build_grid(config), config)
+    assert len(outcome.errors) == 1
+    assert outcome.errors[0].startswith(f"corrupt result line 2 in {path}: 'utf-8' codec")
+    assert path.read_bytes() == RECORD + data
+
+
+def test_an_unterminated_tail_that_is_not_utf8_is_a_write_cut_short(tmp_path):
+    config, tasks, _ = grid_to_completion(tmp_path, max_size=3, solver="builtin")
+    path = tmp_path / "results.jsonl"
+    written = path.read_bytes()
+    path.write_bytes(written + b"\xc3")
+    with pytest.warns(UserWarning, match="partial"):
+        assert [r.status for r in load_results(tmp_path)] == ["UNSAT", "UNSAT"]
+    with pytest.warns(UserWarning, match="partial"):
+        again = run_grid(tasks, config)
+    assert again.ok, again.errors
+    assert path.read_bytes() == written
 
 
 UNSAT_AT_2 = '{"task": {"size": 2, "assume": [], "refute": null}, "status": "UNSAT"'
